@@ -1,21 +1,8 @@
 """Multi-user mmWave massive-MISO beamsteering: Monte Carlo link simulation
 and closed-form spectral-efficiency bounds."""
 
-from .arrays import ArrayConfig, phase_progression, steering_vector
-from .beamforming import (BeamformerSet, DegeneratePrecoder,
-                          SingularEquivalentChannel, abs_beamformer,
-                          abs_beamformer_set, build_rf_matrix,
-                          equivalent_channel, hbs_beamformer_set, hbs_composite,
-                          vector_normalize, zf_precoder)
-from .bounds import (BoundKind, BoundResult, abs_saturation_bound, bessel_j0,
-                     cross_correlation_expectation, gamma_error, hbs_se_approx,
-                     log_rayleigh_mean)
-from .channel import (ChannelRealization, PathParams, assemble_matrix,
-                      child_rng, draw_realization, los_channel,
-                      multipath_channel)
-from .experiment import (ExperimentConfig, ResultRow, run_figure, run_sweep,
-                         run_validation, write_csv)
-from .semetrics import (MonteCarloEstimate, Scheme, SnrPoint, per_stream_se,
-                        per_stream_sinr, run_monte_carlo)
+from .arrays import ArrayConfig
+from .bounds import abs_saturation_bound, hbs_se_approx
+from .semetrics import MonteCarloEstimate, Scheme, SnrPoint, run_monte_carlo
 
 __version__ = "0.1.0"

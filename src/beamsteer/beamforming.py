@@ -47,13 +47,8 @@ class BeamformerSet:
     """RF steering matrix, digital precoder, and their composed transmit matrix."""
 
     rf: np.ndarray        # n_tx x n_rf steering columns
-    digital: np.ndarray   # n_rf x K digital precoder (identity for pure analog)
+    digital: np.ndarray   # n_rf x K digital precoder
     composite: np.ndarray  # n_tx x K, composite = rf @ digital
-
-
-def abs_beamformer(phi: float, config: ArrayConfig) -> np.ndarray:
-    """Analog beamsteering vector for one user: the steering vector at phi."""
-    return steering_vector(phi, config)
 
 
 def build_rf_matrix(angles, config: ArrayConfig) -> np.ndarray:
@@ -62,13 +57,6 @@ def build_rf_matrix(angles, config: ArrayConfig) -> np.ndarray:
     if angles.ndim != 1 or angles.size == 0:
         raise ValueError("angles must be a non-empty 1-D sequence")
     return steering_vector(angles, config)  # (n_tx, K)
-
-
-def abs_beamformer_set(angles, config: ArrayConfig) -> BeamformerSet:
-    """Pure analog beamforming: composite columns are the steering columns."""
-    rf = build_rf_matrix(angles, config)
-    eye = np.eye(rf.shape[1])
-    return BeamformerSet(rf=rf, digital=eye, composite=rf)
 
 
 def _product(left, right, left_name: str, right_name: str) -> np.ndarray:

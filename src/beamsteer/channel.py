@@ -1,9 +1,8 @@
-"""Random geometric (ray-based) channel generation.
+"""Random pure line-of-sight (LoS) channel generation.
 
-Each user's channel is a sum of plane-wave paths with i.i.d. uniform
-departure angles on [0, 2*pi) and circularly-symmetric complex Gaussian
-gains with unit second moment (E|alpha|^2 = 1).  Pure LoS is the single
-path specialization.
+Each user's channel is a single plane wave: departure angle uniform on
+[0, 2*pi) and a circularly-symmetric complex Gaussian gain with unit second
+moment (E|alpha|^2 = 1), so E||h||^2 = n_tx.
 
 Reproducibility: trial t of a Monte Carlo run draws from a child stream
 derived deterministically from (master seed, t), so trials can run in any
@@ -29,18 +28,6 @@ class PathParams:
     aod: float
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Per-user path lists for one Monte Carlo draw."""
-
-    users: tuple  # tuple of per-user tuples of PathParams
-    config: ArrayConfig
-
-    @property
-    def n_users(self) -> int:
-        return len(self.users)
-
-
 def child_rng(master_seed: int, trial: int, attempt: int = 0) -> np.random.Generator:
     """Independent substream for one trial (and resample attempt)."""
     key = (trial,) if attempt == 0 else (trial, attempt)
@@ -59,50 +46,7 @@ def sample_path_params(rng: np.random.Generator, n_paths: int):
     return aods, gains
 
 
-def draw_realization(rng, n_users: int, paths_per_user, config: ArrayConfig) -> ChannelRealization:
-    """Draw one multipath channel realization for n_users users.
-
-    ``rng`` is a numpy Generator or an integer seed.  ``paths_per_user`` is
-    an int (same path count for every user) or a per-user list.
-    """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    if n_users < 1:
-        raise ValueError(f"n_users must be >= 1, got {n_users}")
-    if isinstance(paths_per_user, (int, np.integer)):
-        paths_per_user = [int(paths_per_user)] * n_users
-    if len(paths_per_user) != n_users:
-        raise ValueError("paths_per_user length must equal n_users")
-    if any(p < 1 for p in paths_per_user):
-        raise ValueError("every user needs at least one path")
-
-    total = int(sum(paths_per_user))
-    aods, gains = sample_path_params(rng, total)
-    users = []
-    offset = 0
-    for p in paths_per_user:
-        users.append(tuple(PathParams(gain=gains[offset + i], aod=aods[offset + i])
-                           for i in range(p)))
-        offset += p
-    return ChannelRealization(users=tuple(users), config=config)
-
-
 def los_channel(path: PathParams, config: ArrayConfig) -> np.ndarray:
     """Pure LoS channel row: sqrt(n_tx) * alpha * a(phi)^H."""
     return np.sqrt(config.n_tx) * path.gain * steering_vector(path.aod, config).conj()
 
-
-def multipath_channel(paths, config: ArrayConfig) -> np.ndarray:
-    """Channel row sqrt(n_tx / P) * sum_p alpha_p * a(phi_p)^H."""
-    if len(paths) == 0:
-        raise ValueError("at least one path is required")
-    acc = np.zeros(config.n_tx, dtype=complex)
-    for p in paths:
-        acc += p.gain * steering_vector(p.aod, config).conj()
-    return np.sqrt(config.n_tx / len(paths)) * acc
-
-
-def assemble_matrix(realization: ChannelRealization) -> np.ndarray:
-    """Stack per-user channel rows into the K x n_tx channel matrix."""
-    return np.stack([multipath_channel(paths, realization.config)
-                     for paths in realization.users])

@@ -1,32 +1,43 @@
-"""Per-stream SINR / spectral efficiency and the Monte Carlo estimator.
+"""Per-stream spectral efficiency and the Monte Carlo estimator.
 
 The estimator draws pure-LoS realizations (one path per user), builds the
-requested beamformer per trial, and averages log2(1 + SINR) over trials
-and streams.  Noise power is unity; rho is the per-user transmit SNR, so
-it multiplies both the signal and the interference terms.
+requested beamformer, and averages log2(1 + SINR) over trials and streams.
+Noise power is unity; rho is the per-user transmit SNR, so it multiplies
+both the signal and the interference terms.
 
-Per-trial results are computed from independent child streams and written
-into a (trials, K) array that is reduced in a fixed order, so the estimate
-is bit-identical regardless of worker count or execution order.
+There is one computation path, vectorized over a chunk of trials: draws,
+steering columns, channel rows and the gains |h_k f_i|^2 for every trial of
+the chunk, then one SE reduction (``se_from_gains``).  The hybrid scheme
+solves its zero-forcing stage in float64 for the whole chunk; a trial the
+batched solve flags (large or non-finite residual, a zero composite column,
+or a singular batch) is recomputed on the same arrays through the
+extended-precision chain ``hbs_beamformer_set``, and a draw that chain finds
+singular is redrawn in place from the trial's next resample stream.
+
+Per-trial results come from independent child streams and are written into
+a (trials, K) array that is reduced in a fixed order, so the estimate is
+bit-identical regardless of worker count, chunk size or execution order.
 """
 
 from __future__ import annotations
 
 import enum
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arrays import ArrayConfig
-from .beamforming import (DegeneratePrecoder, SingularEquivalentChannel,
-                          abs_beamformer_set, build_rf_matrix, hbs_beamformer_set)
-from .channel import assemble_matrix, child_rng, draw_realization, sample_path_params
+from .beamforming import DegeneratePrecoder, SingularEquivalentChannel, hbs_beamformer_set
+from .channel import child_rng, sample_path_params
 
 _CHUNK = 2048
 # Batched-solve residual above which a trial is recomputed through the
-# scalar elimination path (which applies the pivot threshold contract).
+# extended-precision chain (which applies the pivot threshold contract).
 _RESIDUAL_TOL = 1e-6
+# Draws tried per trial (the first plus resamples) before giving up.
+_MAX_ATTEMPTS = 1000
 
 
 class Scheme(enum.Enum):
@@ -43,6 +54,9 @@ class SnrPoint:
     rho_db: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.rho_linear) and np.isfinite(self.rho_db)):
+            raise ValueError(f"SNR must be finite, got rho_linear={self.rho_linear!r}, "
+                             f"rho_db={self.rho_db!r}")
         if self.rho_linear <= 0:
             raise ValueError("rho_linear must be positive")
         if abs(self.rho_db - 10.0 * np.log10(self.rho_linear)) > 1e-9:
@@ -50,7 +64,11 @@ class SnrPoint:
 
     @classmethod
     def from_db(cls, rho_db: float) -> "SnrPoint":
-        return cls(rho_linear=10.0 ** (rho_db / 10.0), rho_db=rho_db)
+        try:
+            rho_linear = 10.0 ** (rho_db / 10.0)
+        except OverflowError:
+            raise ValueError(f"SNR must be finite, {rho_db} dB overflows") from None
+        return cls(rho_linear=rho_linear, rho_db=rho_db)
 
     @classmethod
     def from_linear(cls, rho_linear: float) -> "SnrPoint":
@@ -67,66 +85,33 @@ class MonteCarloEstimate:
     n_resampled: int
     per_user_mean: tuple  # per-stream means, diagnostics only
 
-    @property
-    def resample_fraction(self) -> float:
-        return self.n_resampled / self.n_trials
 
+def se_from_gains(gains: np.ndarray, rho_lin: float) -> np.ndarray:
+    """Per-stream SE log2(1 + SINR), bits/s/Hz, from a (..., K, K) gain array.
 
-def _rho_linear(rho) -> float:
-    return rho.rho_linear if isinstance(rho, SnrPoint) else float(rho)
-
-
-def per_stream_sinr(h_matrix: np.ndarray, composite: np.ndarray, k: int, rho) -> float:
-    """SINR of stream k: rho|h_k f_k|^2 / (rho sum_{i!=k} |h_k f_i|^2 + 1)."""
-    h_matrix = np.asarray(h_matrix)
-    composite = np.asarray(composite)
-    n_streams = composite.shape[1]
-    if not 0 <= k < n_streams:
-        raise ValueError(f"stream index {k} out of range for {n_streams} streams")
-    rho_lin = _rho_linear(rho)
-    gains = np.abs(h_matrix[k] @ composite) ** 2
-    interference = gains.sum() - gains[k]
-    return rho_lin * gains[k] / (rho_lin * interference + 1.0)
-
-
-def per_stream_se(sinr: float) -> float:
-    """Shannon spectral efficiency log2(1 + sinr), bits/s/Hz."""
-    if sinr < 0:
-        raise ValueError("sinr must be non-negative")
-    return float(np.log2(1.0 + sinr))
-
-
-def _se_single_trial(config, n_users, scheme, rho_lin, seed, trial):
-    """One pure-LoS trial through the scalar module operations.
-
-    Resamples on singular/degenerate beamformers; returns (se_row, n_resampled).
+    ``gains[..., k, i] = |h_k f_i|^2`` is the power stream i's beam delivers
+    to user k, so stream k has
+    SINR = rho g_kk / (rho sum_{i != k} g_ki + 1).  Returns shape (..., K).
     """
-    resampled = 0
-    for attempt in range(1000):
-        rng = child_rng(seed, trial, attempt)
-        realization = draw_realization(rng, n_users, 1, config)
-        h_matrix = assemble_matrix(realization)
-        angles = np.array([paths[0].aod for paths in realization.users])
-        try:
-            if scheme is Scheme.HBS:
-                bf = hbs_beamformer_set(h_matrix, angles, config)
-            else:
-                bf = abs_beamformer_set(angles, config)
-        except (SingularEquivalentChannel, DegeneratePrecoder):
-            resampled += 1
-            continue
-        if scheme is Scheme.NO_INTERFERENCE:
-            gains = np.abs(np.einsum("kn,nk->k", h_matrix, bf.composite)) ** 2
-            sinr = rho_lin * gains
-        else:
-            sinr = np.array([per_stream_sinr(h_matrix, bf.composite, k, rho_lin)
-                             for k in range(n_users)])
-        return np.log2(1.0 + sinr), resampled
-    raise RuntimeError("resample limit exceeded; check channel statistics")
+    diag = np.einsum("...kk->...k", gains)
+    interference = gains.sum(axis=-1) - diag
+    return np.log2(1.0 + rho_lin * diag / (rho_lin * interference + 1.0))
+
+
+def _los(aods, gains, n_tx, spacing):
+    """Steering columns (..., n_tx, K) and LoS channel rows (..., K, n_tx)."""
+    zeta = 2.0 * np.pi * spacing * np.sin(aods)
+    m = np.arange(n_tx)
+    steer = np.exp(1j * m[:, None] * zeta[..., None, :]) / np.sqrt(n_tx)
+    h = np.sqrt(n_tx) * gains[..., :, None] * np.swapaxes(steer.conj(), -1, -2)
+    return steer, h
 
 
 def _se_chunk(n_tx, spacing, n_users, scheme_value, rho_lin, seed, start, count):
-    """Per-stream SE for trials [start, start+count), vectorized over trials."""
+    """Per-stream SE for trials [start, start+count), vectorized over trials.
+
+    Returns the (count, K) SE block and the number of resampled draws.
+    """
     config = ArrayConfig(n_tx=n_tx, spacing=spacing)
     scheme = Scheme(scheme_value)
     aods = np.empty((count, n_users))
@@ -134,83 +119,79 @@ def _se_chunk(n_tx, spacing, n_users, scheme_value, rho_lin, seed, start, count)
     for i in range(count):
         rng = child_rng(seed, start + i)
         aods[i], gains[i] = sample_path_params(rng, n_users)
+    steer, h = _los(aods, gains, n_tx, spacing)
 
-    zeta = 2.0 * np.pi * spacing * np.sin(aods)
-    m = np.arange(n_tx)
-    steer = np.exp(1j * m[None, :, None] * zeta[:, None, :]) / np.sqrt(n_tx)  # (T, n_tx, K)
-    h = np.sqrt(n_tx) * gains[:, :, None] * steer.conj().transpose(0, 2, 1)  # (T, K, n_tx)
-
-    se = np.empty((count, n_users))
-    n_resampled = 0
-    fallback = []
-
+    flagged = []
     if scheme is Scheme.NO_INTERFERENCE:
-        g2 = np.abs(np.einsum("tkn,tnk->tk", h, steer)) ** 2
-        se[:] = np.log2(1.0 + rho_lin * g2)
+        g2 = np.abs(np.einsum("tkn,tnk->tk", h, steer))[:, :, None] ** 2 * np.eye(n_users)
     elif scheme is Scheme.ABS:
         g2 = np.abs(h @ steer) ** 2
-        diag = np.einsum("tkk->tk", g2)
-        interference = g2.sum(axis=2) - diag
-        se[:] = np.log2(1.0 + rho_lin * diag / (rho_lin * interference + 1.0))
     else:
         h_hat = h @ steer  # (T, K, K) equivalent channel
         eye = np.broadcast_to(np.eye(n_users), (count, n_users, n_users))
         try:
             w = np.linalg.solve(h_hat, eye.copy())
         except np.linalg.LinAlgError:
-            fallback = list(range(count))
-            w = None
-        if w is not None:
+            g2 = np.empty((count, n_users, n_users))
+            flagged = range(count)
+        else:
             residual = np.abs(h_hat @ w - eye).max(axis=(1, 2))
             composite = steer @ w
             norms = np.linalg.norm(composite, axis=1)  # (T, K)
             bad = (residual > _RESIDUAL_TOL) | ~np.isfinite(residual) | (norms == 0).any(axis=1)
             with np.errstate(invalid="ignore", divide="ignore"):
-                composite = composite / norms[:, None, :]
-                g2 = np.abs(h @ composite) ** 2
-            diag = np.einsum("tkk->tk", g2)
-            interference = g2.sum(axis=2) - diag
-            with np.errstate(invalid="ignore"):
-                se[:] = np.log2(1.0 + rho_lin * diag / (rho_lin * interference + 1.0))
-            fallback = list(np.nonzero(bad)[0])
+                g2 = np.abs(h @ (composite / norms[:, None, :])) ** 2
+            flagged = np.nonzero(bad)[0]
 
-    for i in fallback:
-        se[i], resampled = _se_single_trial(config, n_users, scheme, rho_lin,
-                                            seed, start + i)
-        n_resampled += resampled
-    return se, n_resampled
+    n_resampled = 0
+    for i in flagged:
+        for attempt in range(_MAX_ATTEMPTS):
+            if attempt:
+                aods[i], gains[i] = sample_path_params(
+                    child_rng(seed, start + i, attempt), n_users)
+                h[i] = _los(aods[i], gains[i], n_tx, spacing)[1]
+            try:
+                bf = hbs_beamformer_set(h[i], aods[i], config)
+            except (SingularEquivalentChannel, DegeneratePrecoder):
+                n_resampled += 1
+                continue
+            g2[i] = np.abs(h[i] @ bf.composite) ** 2
+            break
+        else:
+            raise RuntimeError("resample limit exceeded; check channel statistics")
+    return se_from_gains(g2, rho_lin), n_resampled
 
 
 def run_monte_carlo(config: ArrayConfig, n_users: int, scheme: Scheme, rho,
                     trials: int, seed: int, workers: int = 1) -> MonteCarloEstimate:
     """Monte Carlo estimate of the expected per-stream SE.
 
-    Streams of one trial are exchangeable under i.i.d. user statistics, so
-    the estimate averages over trials and streams.
+    ``rho`` is an ``SnrPoint`` or a linear SNR, which must be finite and
+    positive.  Streams of one trial are exchangeable under i.i.d. user
+    statistics, so the estimate averages over trials and streams.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
     scheme = Scheme(scheme)
-    rho_lin = _rho_linear(rho)
+    if scheme is Scheme.HBS and n_users > config.n_tx:
+        raise ValueError(f"HBS needs n_users <= n_tx: the equivalent channel of "
+                         f"{n_users} users on {config.n_tx} antennas is singular")
+    if not isinstance(rho, SnrPoint):
+        rho = SnrPoint.from_linear(float(rho))
 
-    starts = list(range(0, trials, _CHUNK))
-    args = [(config.n_tx, config.spacing, n_users, scheme.value, rho_lin, seed,
+    starts = range(0, trials, _CHUNK)
+    args = [(config.n_tx, config.spacing, n_users, scheme.value, rho.rho_linear, seed,
              s, min(_CHUNK, trials - s)) for s in starts]
 
     se = np.empty((trials, n_users))
     n_resampled = 0
-    if workers > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for (start, *_), (block, resampled) in zip(
-                    [(a[6],) for a in args], pool.map(_se_chunk_star, args)):
-                se[start:start + block.shape[0]] = block
-                n_resampled += resampled
-    else:
-        for a in args:
-            block, resampled = _se_chunk(*a)
-            se[a[6]:a[6] + block.shape[0]] = block
+    pooled = workers > 1 and len(args) > 1
+    with ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
+        blocks = (pool.map if pooled else map)(_se_chunk, *zip(*args))
+        for start, (block, resampled) in zip(starts, blocks):
+            se[start:start + block.shape[0]] = block
             n_resampled += resampled
 
     flat = se.ravel()
@@ -222,7 +203,3 @@ def run_monte_carlo(config: ArrayConfig, n_users: int, scheme: Scheme, rho,
         n_resampled=n_resampled,
         per_user_mean=tuple(se.mean(axis=0)),
     )
-
-
-def _se_chunk_star(a):
-    return _se_chunk(*a)

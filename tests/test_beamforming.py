@@ -3,7 +3,6 @@ import pytest
 
 from beamsteer.arrays import ArrayConfig, steering_vector
 from beamsteer.beamforming import (DegeneratePrecoder, SingularEquivalentChannel,
-                                   abs_beamformer, abs_beamformer_set,
                                    build_rf_matrix, equivalent_channel,
                                    hbs_beamformer_set, hbs_composite,
                                    vector_normalize, zf_precoder)
@@ -18,18 +17,10 @@ def random_los_setup(rng, n_tx, n_users, spacing=0.5):
     return cfg, angles, gains, h
 
 
-def test_abs_beamformer_is_steering_vector():
-    cfg = ArrayConfig(4, 0.5)
-    assert np.allclose(abs_beamformer(0.0, cfg), [0.5, 0.5, 0.5, 0.5])
-    cfg2 = ArrayConfig(2, 0.5)
-    assert np.allclose(abs_beamformer(np.pi / 2, cfg2),
-                       np.array([1, -1]) / np.sqrt(2), atol=1e-12)
-
-
 def test_abs_gain_onto_own_channel():
     cfg = ArrayConfig(16, 0.5)
     h = los_channel(PathParams(1.0, 0.9), cfg)
-    assert abs(h @ abs_beamformer(0.9, cfg)) == pytest.approx(4.0, abs=1e-12)
+    assert abs(h @ steering_vector(0.9, cfg)) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_rf_matrix_columns():
@@ -143,13 +134,6 @@ def test_composite_identity_digital():
     rf = build_rf_matrix([0.2, 1.2], cfg)
     bf = hbs_composite(rf, np.eye(2))
     assert np.allclose(bf.composite, rf, atol=1e-12)
-
-
-def test_pure_abs_composite_is_steering():
-    cfg = ArrayConfig(8, 0.5)
-    angles = [0.2, 1.2, 4.0]
-    bf = abs_beamformer_set(angles, cfg)
-    assert np.array_equal(bf.composite, build_rf_matrix(angles, cfg))
 
 
 def test_hbs_single_user_end_to_end():

@@ -3,9 +3,7 @@ import pytest
 from scipy import stats
 
 from beamsteer.arrays import ArrayConfig, steering_vector
-from beamsteer.channel import (ChannelRealization, PathParams, assemble_matrix,
-                               child_rng, draw_realization, los_channel,
-                               multipath_channel, sample_path_params)
+from beamsteer.channel import PathParams, child_rng, los_channel, sample_path_params
 
 CFG8 = ArrayConfig(8, 0.5)
 
@@ -62,32 +60,13 @@ def test_los_norm():
         np.sqrt(16) * abs(p.gain), abs=1e-12)
 
 
-def test_multipath_single_path_equals_los():
-    p = PathParams(gain=0.5 + 0.2j, aod=1.9)
-    assert np.allclose(multipath_channel([p], CFG8), los_channel(p, CFG8))
-
-
-def test_multipath_duplicate_path_scales_sqrt2():
-    p = PathParams(gain=0.5 + 0.2j, aod=1.9)
-    assert np.allclose(multipath_channel([p, p], CFG8),
-                       np.sqrt(2) * multipath_channel([p], CFG8))
-
-
-def test_multipath_empty_rejected():
-    with pytest.raises(ValueError):
-        multipath_channel([], CFG8)
-
-
 def test_channel_power_normalization():
-    # E||h||^2 = n_tx regardless of path count
+    # E||h||^2 = n_tx
     rng = np.random.default_rng(5)
-    total = 0.0
     n = 10**5
-    for _ in range(n):
-        aods, gains = sample_path_params(rng, 3)
-        # ||h||^2 without building vectors: (n/P)|sum alpha_p a_p|^2 norms
-        h = multipath_channel([PathParams(g, a) for g, a in zip(gains, aods)], CFG8)
-        total += np.linalg.norm(h) ** 2
+    aods, gains = sample_path_params(rng, n)
+    total = sum(np.linalg.norm(los_channel(PathParams(g, a), CFG8)) ** 2
+                for g, a in zip(gains, aods))
     assert total / n == pytest.approx(8.0, rel=0.02)
 
 
@@ -103,38 +82,6 @@ def test_rank_one_structure_pure_los():
                     assert abs(minor) < 1e-10
 
 
-def test_assemble_single_user():
-    real = draw_realization(7, 1, 2, CFG8)
-    h = assemble_matrix(real)
-    assert h.shape == (1, 8)
-    assert np.allclose(h[0], multipath_channel(real.users[0], CFG8))
-
-
-def test_assemble_permutation_equivariance():
-    real = draw_realization(8, 2, 1, CFG8)
-    swapped = ChannelRealization(users=real.users[::-1], config=real.config)
-    assert np.allclose(assemble_matrix(real), assemble_matrix(swapped)[::-1])
-
-
-def test_assemble_matches_direct_formula():
-    # independent elementwise re-evaluation of the multipath sum
-    cfg = ArrayConfig(8, 0.5)
-    real = draw_realization(9, 2, [2, 3], cfg)
-    h = assemble_matrix(real)
-    for k, paths in enumerate(real.users):
-        for m in range(8):
-            expected = np.sqrt(8 / len(paths)) * sum(
-                p.gain * np.exp(-1j * m * 2 * np.pi * 0.5 * np.sin(p.aod)) / np.sqrt(8)
-                for p in paths)
-            assert h[k, m] == pytest.approx(expected, abs=1e-12)
-
-
-def test_draw_determinism():
-    a = draw_realization(42, 3, [1, 2, 1], CFG8)
-    b = draw_realization(42, 3, [1, 2, 1], CFG8)
-    assert a == b
-
-
 def test_child_rng_substreams():
     r1 = child_rng(100, 5).uniform(size=4)
     r2 = child_rng(100, 5).uniform(size=4)
@@ -143,9 +90,3 @@ def test_child_rng_substreams():
     assert np.array_equal(r1, r2)
     assert not np.array_equal(r1, r3)
     assert not np.array_equal(r1, r4)
-
-
-@pytest.mark.parametrize("n_users,paths", [(0, 1), (2, [1]), (2, [1, 0])])
-def test_draw_invalid_params(n_users, paths):
-    with pytest.raises(ValueError):
-        draw_realization(1, n_users, paths, CFG8)

@@ -144,3 +144,19 @@ def test_saturation_rows_constant_across_file():
     sat = [r for r in rows if r.label == ABS_SATURATION_LABEL]
     assert len(sat) == 1
     assert np.isfinite(sat[0].se_mean)
+
+
+def test_non_finite_snr_exit_one(tmp_path, capsys):
+    out = tmp_path / "nan.csv"
+    for snr in ("nan", "inf"):
+        assert main(["sweep", "--ntx", "8", "--nbeams", "2", "--snr-db", snr,
+                     "--trials", "10", "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_hbs_more_beams_than_antennas_exit_one(capsys):
+    assert main(["sweep", "--ntx", "2", "--nbeams", "3", "--schemes", "HBS",
+                 "--trials", "10", "--no-bounds"]) == 1
+    err = capsys.readouterr().err
+    assert "3 users on 2 antennas" in err
