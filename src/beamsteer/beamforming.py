@@ -16,8 +16,6 @@ each do the same for their own step and return complex128.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .arrays import ArrayConfig, steering_vector
@@ -40,15 +38,6 @@ class SingularEquivalentChannel(Exception):
 
 class DegeneratePrecoder(Exception):
     """A precoder column maps to the zero vector and cannot be normalized."""
-
-
-@dataclass(frozen=True)
-class BeamformerSet:
-    """RF steering matrix, digital precoder, and their composed transmit matrix."""
-
-    rf: np.ndarray        # n_tx x n_rf steering columns
-    digital: np.ndarray   # n_rf x K digital precoder
-    composite: np.ndarray  # n_tx x K, composite = rf @ digital
 
 
 def build_rf_matrix(angles, config: ArrayConfig) -> np.ndarray:
@@ -131,26 +120,16 @@ def vector_normalize(w: np.ndarray, rf: np.ndarray) -> np.ndarray:
     return _normalize(w, rf).astype(complex)
 
 
-def hbs_composite(rf: np.ndarray, w: np.ndarray) -> BeamformerSet:
-    """Compose the hybrid beamformer F = F_RF @ W.
-
-    The product is formed in extended precision and rounded once, so an
-    ``np.clongdouble`` W reaches the composite without an earlier rounding.
-    ``digital`` and ``composite`` are complex128.
-    """
-    composite = _product(rf, w, "F_RF", "W").astype(complex)
-    return BeamformerSet(rf=np.asarray(rf), digital=np.asarray(w).astype(complex),
-                         composite=composite)
-
-
-def hbs_beamformer_set(h_matrix: np.ndarray, angles, config: ArrayConfig) -> BeamformerSet:
+def hbs_beamformer_set(h_matrix: np.ndarray, angles, config: ArrayConfig) -> np.ndarray:
     """Full hybrid chain: steering, equivalent channel, ZF, vector normalization.
 
-    H_hat = H F_RF, its inverse, the column normalization and F_RF W all stay
-    in ``np.clongdouble``; the composite is rounded to complex128 once, at
-    the end.  Rounding any intermediate instead costs about eps64 * cond(H_hat)
-    of interference suppression (1.7e-8 leakage at cond 2e8).
+    Returns the n_tx x K composite F = F_RF W (complex128), one unit-norm
+    column per stream.  H_hat = H F_RF, its inverse, the column normalization
+    and F_RF W all stay in ``np.clongdouble``; the composite is rounded to
+    complex128 once, at the end.  Rounding any intermediate instead costs
+    about eps64 * cond(H_hat) of interference suppression (1.7e-8 leakage at
+    cond 2e8).
     """
     rf = build_rf_matrix(angles, config)
     w = _invert(_product(h_matrix, rf, "H", "F_RF"))
-    return hbs_composite(rf, _normalize(w, rf))
+    return _product(rf, _normalize(w, rf), "F_RF", "W").astype(complex)

@@ -2,9 +2,8 @@
 
 Implements the zero-order Bessel function of the first kind, the expected
 squared cross-correlation of two independently-steered ULA responses, the
-high-SNR saturation level of multi-user analog beamsteering, the pairwise
-spread diagnostic for the K > 2 bound, and the Log-Rayleigh approximation
-of the zero-forcing hybrid scheme's SE.
+high-SNR saturation level of multi-user analog beamsteering, and the
+Log-Rayleigh approximation of the zero-forcing hybrid scheme's SE.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .arrays import ArrayConfig, steering_vector
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -127,25 +124,6 @@ def abs_saturation_bound(n_tx: int, spacing: float, n_users: int) -> BoundResult
     kind = BoundKind.ABS_SATURATION_K2 if n_users == 2 else BoundKind.ABS_SATURATION_K_GT2
     return BoundResult(value=value, kind=kind,
                        params={"n_tx": n_tx, "d": spacing, "k_users": n_users})
-
-
-def gamma_error(angles, k: int, config: ArrayConfig) -> float:
-    """Pairwise spread of the interferer correlation magnitudes.
-
-    0.5 * sum_{i!=k} sum_{j!=k} (|a_k^H a_i| - |a_k^H a_j|)^2; vanishes as
-    the correlations equalize, which happens as n_tx grows.
-    """
-    angles = np.asarray(angles, dtype=float)
-    n_users = angles.size
-    if n_users < 3:
-        raise ValueError("the spread diagnostic needs at least two interferers (K >= 3)")
-    if not 0 <= k < n_users:
-        raise ValueError(f"user index {k} out of range")
-    steer = steering_vector(angles, config)  # (n_tx, K)
-    corr = np.abs(steer[:, k].conj() @ steer)
-    others = np.delete(corr, k)
-    diffs = others[:, None] - others[None, :]
-    return 0.5 * float((diffs**2).sum())
 
 
 def log_rayleigh_mean(scale_arg: float) -> float:

@@ -64,6 +64,14 @@ def parse_schemes(spec: str):
     return tuple(out)
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (trials, workers)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def load_config_file(path: str) -> dict:
     """Flat key=value config file; '#' starts a comment."""
     values = {}
@@ -91,10 +99,11 @@ def _add_common(p, with_grid=True):
         p.add_argument("--snr-db", dest="snr_db", help="SNR grid, 'a,b,c' or 'start:step:stop'")
         p.add_argument("--spacing", type=float, help="element spacing in wavelengths")
         p.add_argument("--schemes", help="comma subset of ABS,HBS,NoInterference")
-    p.add_argument("--trials", type=int, help=f"Monte Carlo trials (default {DEFAULT_TRIALS})")
+    p.add_argument("--trials", type=positive_int,
+                   help=f"Monte Carlo trials (default {DEFAULT_TRIALS})")
     p.add_argument("--seed", type=int, help=f"master RNG seed (default {DEFAULT_SEED})")
     p.add_argument("--out", help="output CSV path (default: stdout)")
-    p.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument("--threads", type=positive_int, default=1, help="worker processes (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,7 +172,7 @@ def _run_bounds(args) -> int:
     spacing = args.spacing if args.spacing is not None else 0.5
     rows = []
     for n_tx in n_tx_list:
-        rows.extend(bound_rows(n_tx, n_beams, spacing, grid, schemes=()))
+        rows.extend(bound_rows(n_tx, n_beams, spacing, grid))
     _emit(rows, args.out)
     return 0
 

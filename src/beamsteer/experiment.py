@@ -4,13 +4,13 @@ validation checks."""
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arrays import ArrayConfig
 from .bounds import abs_saturation_bound, hbs_se_approx
-from .semetrics import MonteCarloEstimate, Scheme, SnrPoint, run_monte_carlo
+from .semetrics import Scheme, SnrPoint, run_monte_carlo
 
 CSV_HEADER = "snr_db,n_tx,n_beams,label,se_mean,se_stderr,n_resampled"
 
@@ -81,7 +81,7 @@ def write_csv(rows, path) -> None:
         fh.write(rows_to_csv(rows))
 
 
-def bound_rows(n_tx: int, n_beams: int, spacing: float, snr_db_grid, schemes,
+def bound_rows(n_tx: int, n_beams: int, spacing: float, snr_db_grid,
                include_saturation: bool = True, include_hbs: bool = True):
     """Closed-form bound rows for one (n_tx, n_beams) cell.
 
@@ -106,17 +106,18 @@ def bound_rows(n_tx: int, n_beams: int, spacing: float, snr_db_grid, schemes,
 def run_sweep(cfg: ExperimentConfig, workers: int = 1):
     """Simulate every (n_tx, scheme, snr) grid point, plus bound rows.
 
-    The same master seed is used at every grid point (common random
-    numbers), so curves over SNR share channel draws.
+    Each (n_tx, scheme) curve is one simulation whose gains are reduced at
+    every SNR point, so a curve's points share their channel draws; the same
+    master seed is used for every curve (common random numbers).
     """
+    snrs = [SnrPoint.from_db(snr_db) for snr_db in cfg.snr_db_grid]
     rows = []
     for n_tx in cfg.n_tx_list:
         array = ArrayConfig(n_tx=n_tx, spacing=cfg.spacing)
         for scheme in cfg.schemes:
-            for snr_db in cfg.snr_db_grid:
-                est = run_monte_carlo(array, cfg.n_beams, scheme,
-                                      SnrPoint.from_db(snr_db), cfg.trials,
-                                      cfg.seed, workers=workers)
+            estimates = run_monte_carlo(array, cfg.n_beams, scheme, snrs, cfg.trials,
+                                        cfg.seed, workers=workers)
+            for snr_db, est in zip(cfg.snr_db_grid, estimates):
                 rows.append(ResultRow(snr_db=snr_db, n_tx=n_tx,
                                       n_beams=cfg.n_beams, label=scheme.value,
                                       se_mean=est.mean, se_stderr=est.std_error,
@@ -125,8 +126,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1):
             has_abs = Scheme.ABS in cfg.schemes
             has_hbs = any(s in cfg.schemes for s in (Scheme.HBS, Scheme.NO_INTERFERENCE))
             rows.extend(bound_rows(n_tx, cfg.n_beams, cfg.spacing, cfg.snr_db_grid,
-                                   cfg.schemes, include_saturation=has_abs,
-                                   include_hbs=has_hbs))
+                                   include_saturation=has_abs, include_hbs=has_hbs))
     return rows
 
 
@@ -173,10 +173,12 @@ class ValidationCheck:
         return self.lo <= self.measured <= self.hi
 
 
-def _sim(n_tx, n_beams, scheme, snr_db, trials, seed, workers, spacing=0.5):
-    return run_monte_carlo(ArrayConfig(n_tx=n_tx, spacing=spacing), n_beams,
-                           scheme, SnrPoint.from_db(snr_db), trials, seed,
-                           workers=workers).mean
+def _sim(n_tx, n_beams, scheme, snr_dbs, trials, seed, workers, spacing=0.5):
+    """Mean SE of one cell at each SNR in ``snr_dbs``, from one simulation."""
+    estimates = run_monte_carlo(ArrayConfig(n_tx=n_tx, spacing=spacing), n_beams, scheme,
+                                [SnrPoint.from_db(x) for x in snr_dbs], trials, seed,
+                                workers=workers)
+    return [est.mean for est in estimates]
 
 
 def run_validation(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
@@ -188,8 +190,7 @@ def run_validation(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
     # Figure 1: analog saturation, K = 2.
     for n_tx in (16, 32, 128):
         bound = abs_saturation_bound(n_tx, 0.5, 2).value
-        se30 = _sim(n_tx, 2, Scheme.ABS, 30.0, trials, seed, workers)
-        se25 = _sim(n_tx, 2, Scheme.ABS, 25.0, trials, seed, workers)
+        se30, se25 = _sim(n_tx, 2, Scheme.ABS, (30.0, 25.0), trials, seed, workers)
         checks.append(ValidationCheck("figure1", f"ABS gap to saturation, n_tx={n_tx}",
                                       abs(se30 - bound), 0.0, 0.2))
         checks.append(ValidationCheck("figure1", f"ABS flatness 25->30 dB, n_tx={n_tx}",
@@ -199,7 +200,7 @@ def run_validation(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
     fig2_windows = {16: (0.15, 0.45), 32: (0.05, 0.35), 128: (0.0, 0.1)}
     for n_tx, (lo, hi) in fig2_windows.items():
         approx = hbs_se_approx(SnrPoint.from_db(30.0), n_tx).value
-        se = _sim(n_tx, 2, Scheme.HBS, 30.0, trials, seed, workers)
+        se = _sim(n_tx, 2, Scheme.HBS, (30.0,), trials, seed, workers)[0]
         checks.append(ValidationCheck("figure2", f"HBS gap to approx, n_tx={n_tx}",
                                       abs(se - approx), lo, hi))
 
@@ -207,24 +208,24 @@ def run_validation(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
     fig3_abs = {}
     for n_beams, (lo, hi) in {3: (0.0, 0.2), 5: (0.05, 0.25)}.items():
         bound = abs_saturation_bound(32, 0.5, n_beams).value
-        se = _sim(32, n_beams, Scheme.ABS, 30.0, trials, seed, workers)
+        se = _sim(32, n_beams, Scheme.ABS, (30.0,), trials, seed, workers)[0]
         fig3_abs[n_beams] = abs(se - bound)
         checks.append(ValidationCheck("figure3", f"ABS gap to saturation, n_beams={n_beams}",
                                       fig3_abs[n_beams], lo, hi))
     approx = hbs_se_approx(SnrPoint.from_db(30.0), 32).value
-    fig3_hbs = abs(_sim(32, 5, Scheme.HBS, 30.0, trials, seed, workers) - approx)
+    fig3_hbs = abs(_sim(32, 5, Scheme.HBS, (30.0,), trials, seed, workers)[0] - approx)
     checks.append(ValidationCheck("figure3", "HBS gap to approx, n_beams=5",
                                   fig3_hbs, 0.7, 1.3))
 
     # Figure 4: n_tx = 128, n_beams = 5; both gaps shrink vs figure 3.
     approx = hbs_se_approx(SnrPoint.from_db(30.0), 128).value
-    fig4_hbs = abs(_sim(128, 5, Scheme.HBS, 30.0, trials, seed, workers) - approx)
+    fig4_hbs = abs(_sim(128, 5, Scheme.HBS, (30.0,), trials, seed, workers)[0] - approx)
     checks.append(ValidationCheck("figure4", "HBS gap to approx",
                                   fig4_hbs, 0.05, 0.35))
     checks.append(ValidationCheck("figure4", "HBS gap shrinks vs n_tx=32",
                                   fig4_hbs, 0.0, fig3_hbs))
     bound = abs_saturation_bound(128, 0.5, 5).value
-    fig4_abs = abs(_sim(128, 5, Scheme.ABS, 30.0, trials, seed, workers) - bound)
+    fig4_abs = abs(_sim(128, 5, Scheme.ABS, (30.0,), trials, seed, workers)[0] - bound)
     checks.append(ValidationCheck("figure4", "ABS gap to saturation",
                                   fig4_abs, 0.0, 0.2))
     checks.append(ValidationCheck("figure4", "ABS gap shrinks vs n_tx=32",

@@ -5,18 +5,19 @@ requested beamformer, and averages log2(1 + SINR) over trials and streams.
 Noise power is unity; rho is the per-user transmit SNR, so it multiplies
 both the signal and the interference terms.
 
-There is one computation path, vectorized over a chunk of trials: draws,
-steering columns, channel rows and the gains |h_k f_i|^2 for every trial of
-the chunk, then one SE reduction (``se_from_gains``).  The hybrid scheme
-solves its zero-forcing stage in float64 for the whole chunk; a trial the
-batched solve flags (large or non-finite residual, a zero composite column,
-or a singular batch) is recomputed on the same arrays through the
-extended-precision chain ``hbs_beamformer_set``, and a draw that chain finds
-singular is redrawn in place from the trial's next resample stream.
+The kernel is rho-free.  One computation path, vectorized over a chunk of
+trials, gives the gains |h_k f_i|^2 of every trial: draws, steering columns,
+channel rows and beams.  The hybrid scheme solves its zero-forcing stage in
+float64 for the whole chunk; a trial the batched solve flags (large or
+non-finite residual, a zero composite column, or a singular batch) is
+recomputed on the same arrays through the extended-precision chain
+``hbs_beamformer_set``, and a draw that chain finds singular is redrawn in
+place from the trial's next resample stream.  SNR enters only in the SE
+reduction ``se_from_gains``, so one simulation serves a whole SNR grid.
 
 Per-trial results come from independent child streams and are written into
-a (trials, K) array that is reduced in a fixed order, so the estimate is
-bit-identical regardless of worker count, chunk size or execution order.
+a (trials, K, K) gain array that is reduced in a fixed order, so the estimate
+is bit-identical regardless of worker count, chunk size or execution order.
 """
 
 from __future__ import annotations
@@ -107,10 +108,10 @@ def _los(aods, gains, n_tx, spacing):
     return steer, h
 
 
-def _se_chunk(n_tx, spacing, n_users, scheme_value, rho_lin, seed, start, count):
-    """Per-stream SE for trials [start, start+count), vectorized over trials.
+def _gain_chunk(n_tx, spacing, n_users, scheme_value, seed, start, count):
+    """Gains |h_k f_i|^2 for trials [start, start+count), vectorized over trials.
 
-    Returns the (count, K) SE block and the number of resampled draws.
+    Returns the (count, K, K) gain block and the number of resampled draws.
     """
     config = ArrayConfig(n_tx=n_tx, spacing=spacing)
     scheme = Scheme(scheme_value)
@@ -151,24 +152,28 @@ def _se_chunk(n_tx, spacing, n_users, scheme_value, rho_lin, seed, start, count)
                     child_rng(seed, start + i, attempt), n_users)
                 h[i] = _los(aods[i], gains[i], n_tx, spacing)[1]
             try:
-                bf = hbs_beamformer_set(h[i], aods[i], config)
+                f = hbs_beamformer_set(h[i], aods[i], config)
             except (SingularEquivalentChannel, DegeneratePrecoder):
                 n_resampled += 1
                 continue
-            g2[i] = np.abs(h[i] @ bf.composite) ** 2
+            g2[i] = np.abs(h[i] @ f) ** 2
             break
         else:
             raise RuntimeError("resample limit exceeded; check channel statistics")
-    return se_from_gains(g2, rho_lin), n_resampled
+    return g2, n_resampled
 
 
-def run_monte_carlo(config: ArrayConfig, n_users: int, scheme: Scheme, rho,
-                    trials: int, seed: int, workers: int = 1) -> MonteCarloEstimate:
-    """Monte Carlo estimate of the expected per-stream SE.
+def run_monte_carlo(config: ArrayConfig, n_users: int, scheme: Scheme, snrs,
+                    trials: int, seed: int,
+                    workers: int = 1) -> tuple[MonteCarloEstimate, ...]:
+    """Monte Carlo estimates of the expected per-stream SE over an SNR grid.
 
-    ``rho`` is an ``SnrPoint`` or a linear SNR, which must be finite and
-    positive.  Streams of one trial are exchangeable under i.i.d. user
-    statistics, so the estimate averages over trials and streams.
+    ``snrs`` is a non-empty sequence of ``SnrPoint`` or linear SNRs, each
+    finite and positive.  The trials are simulated once and every point is
+    reduced from the same gains; the result holds one ``MonteCarloEstimate``
+    per point, in the given order.  Streams of one trial are exchangeable
+    under i.i.d. user statistics, so each estimate averages over trials and
+    streams.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -178,28 +183,33 @@ def run_monte_carlo(config: ArrayConfig, n_users: int, scheme: Scheme, rho,
     if scheme is Scheme.HBS and n_users > config.n_tx:
         raise ValueError(f"HBS needs n_users <= n_tx: the equivalent channel of "
                          f"{n_users} users on {config.n_tx} antennas is singular")
-    if not isinstance(rho, SnrPoint):
-        rho = SnrPoint.from_linear(float(rho))
+    snrs = [p if isinstance(p, SnrPoint) else SnrPoint.from_linear(float(p)) for p in snrs]
+    if not snrs:
+        raise ValueError("at least one SNR point is required")
 
     starts = range(0, trials, _CHUNK)
-    args = [(config.n_tx, config.spacing, n_users, scheme.value, rho.rho_linear, seed,
+    args = [(config.n_tx, config.spacing, n_users, scheme.value, seed,
              s, min(_CHUNK, trials - s)) for s in starts]
 
-    se = np.empty((trials, n_users))
+    gains = np.empty((trials, n_users, n_users))
     n_resampled = 0
     pooled = workers > 1 and len(args) > 1
     with ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
-        blocks = (pool.map if pooled else map)(_se_chunk, *zip(*args))
+        blocks = (pool.map if pooled else map)(_gain_chunk, *zip(*args))
         for start, (block, resampled) in zip(starts, blocks):
-            se[start:start + block.shape[0]] = block
+            gains[start:start + block.shape[0]] = block
             n_resampled += resampled
 
-    flat = se.ravel()
-    std = flat.std(ddof=1) if flat.size > 1 else 0.0
-    return MonteCarloEstimate(
-        mean=float(flat.mean()),
-        std_error=float(std / np.sqrt(flat.size)),
-        n_trials=trials,
-        n_resampled=n_resampled,
-        per_user_mean=tuple(se.mean(axis=0)),
-    )
+    estimates = []
+    for rho in snrs:
+        se = se_from_gains(gains, rho.rho_linear)
+        flat = se.ravel()
+        std = flat.std(ddof=1) if flat.size > 1 else 0.0
+        estimates.append(MonteCarloEstimate(
+            mean=float(flat.mean()),
+            std_error=float(std / np.sqrt(flat.size)),
+            n_trials=trials,
+            n_resampled=n_resampled,
+            per_user_mean=tuple(se.mean(axis=0)),
+        ))
+    return tuple(estimates)

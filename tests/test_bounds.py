@@ -5,8 +5,8 @@ from scipy.integrate import quad
 from beamsteer.arrays import ArrayConfig, steering_vector
 from beamsteer.bounds import (BoundKind, DEFAULT_SIGMA, EULER_GAMMA,
                               abs_saturation_bound, bessel_j0,
-                              cross_correlation_expectation, gamma_error,
-                              hbs_se_approx, log_rayleigh_mean)
+                              cross_correlation_expectation, hbs_se_approx,
+                              log_rayleigh_mean)
 from beamsteer.semetrics import Scheme, SnrPoint, run_monte_carlo
 
 from j0_oracle import j0_series
@@ -125,32 +125,9 @@ def test_saturation_bound_requires_interferer():
 def test_saturation_bound_vs_high_snr_simulation():
     # 32 antennas, 2 users, effectively infinite SNR
     bound = abs_saturation_bound(32, 0.5, 2).value
-    est = run_monte_carlo(ArrayConfig(32, 0.5), 2, Scheme.ABS,
-                          SnrPoint.from_linear(1e6), 50000, 77)
+    (est,) = run_monte_carlo(ArrayConfig(32, 0.5), 2, Scheme.ABS,
+                             [SnrPoint.from_linear(1e6)], 50000, 77)
     assert abs(est.mean - bound) < 0.45
-
-
-def test_gamma_error_symmetric_interferers():
-    # interferers mirrored about broadside share sin(phi), hence equal correlation
-    cfg = ArrayConfig(16, 0.5)
-    assert gamma_error([0.0, 1.0, np.pi - 1.0], 0, cfg) == pytest.approx(0.0, abs=1e-20)
-
-
-def test_gamma_error_nonnegative_and_decreasing_in_ntx():
-    rng = np.random.default_rng(31)
-    means = {}
-    draws = [rng.uniform(0, 2 * np.pi, 5) for _ in range(2000)]
-    for n_tx in (16, 128):
-        cfg = ArrayConfig(n_tx, 0.5)
-        vals = [gamma_error(a, 0, cfg) for a in draws]
-        assert min(vals) >= 0.0
-        means[n_tx] = np.mean(vals)
-    assert means[128] < means[16]
-
-
-def test_gamma_error_requires_two_interferers():
-    with pytest.raises(ValueError):
-        gamma_error([0.1, 0.2], 0, ArrayConfig(8, 0.5))
 
 
 def test_log_rayleigh_zero_crossing():
@@ -196,8 +173,8 @@ def test_hbs_approx_vs_exact_expectation():
 
 def test_hbs_approx_vs_simulation_large_array():
     approx = hbs_se_approx(SnrPoint.from_db(30.0), 128, DEFAULT_SIGMA).value
-    est = run_monte_carlo(ArrayConfig(128, 0.5), 2, Scheme.NO_INTERFERENCE,
-                          SnrPoint.from_db(30.0), 50000, 78)
+    (est,) = run_monte_carlo(ArrayConfig(128, 0.5), 2, Scheme.NO_INTERFERENCE,
+                             [SnrPoint.from_db(30.0)], 50000, 78)
     assert abs(est.mean - approx) < 0.05
 
 

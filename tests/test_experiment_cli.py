@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from beamsteer import cli
 from beamsteer.cli import (UsageError, load_config_file, main, parse_int_list,
                            parse_schemes, parse_snr_spec)
 from beamsteer.experiment import (ABS_SATURATION_LABEL, CSV_HEADER,
@@ -160,3 +161,21 @@ def test_hbs_more_beams_than_antennas_exit_one(capsys):
                  "--trials", "10", "--no-bounds"]) == 1
     err = capsys.readouterr().err
     assert "3 users on 2 antennas" in err
+
+
+def test_non_positive_trials_exit_one(monkeypatch, capsys):
+    # --trials 0 must not fall back to the 50000-trial default
+    calls = []
+    monkeypatch.setattr(cli, "run_validation", lambda **kw: calls.append(kw) or [])
+    monkeypatch.setattr(cli, "run_figure", lambda *a, **kw: calls.append(kw) or [])
+    for command in ("validate", "figure1"):
+        assert main([command, "--trials", "0"]) == 1
+        assert "--trials" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_non_positive_threads_exit_one(capsys):
+    for threads in ("0", "-2"):
+        assert main(["sweep", "--ntx", "8", "--trials", "10", "--no-bounds",
+                     "--threads", threads]) == 1
+        assert "--threads" in capsys.readouterr().err

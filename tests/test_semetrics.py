@@ -11,7 +11,7 @@ from beamsteer.arrays import ArrayConfig, steering_vector
 from beamsteer.beamforming import (DegeneratePrecoder, SingularEquivalentChannel,
                                    build_rf_matrix, hbs_beamformer_set)
 from beamsteer.channel import PathParams, child_rng, los_channel, sample_path_params
-from beamsteer.semetrics import (MonteCarloEstimate, Scheme, SnrPoint, _se_chunk,
+from beamsteer.semetrics import (MonteCarloEstimate, Scheme, SnrPoint, _gain_chunk,
                                  run_monte_carlo, se_from_gains)
 
 
@@ -31,7 +31,7 @@ def dense_trial_se(cfg, n_users, scheme, rho, seed, trial):
         cond = np.linalg.cond(h @ f)
         if scheme is Scheme.HBS:
             try:
-                f = hbs_beamformer_set(h, aods, cfg).composite
+                f = hbs_beamformer_set(h, aods, cfg)
             except (SingularEquivalentChannel, DegeneratePrecoder):
                 continue
         out = np.empty(n_users)
@@ -59,8 +59,10 @@ def dense_se(cfg, n_users, scheme, rho, seed, start, count):
 
 
 def kernel_se(cfg, n_users, scheme, rho, seed, start, count):
-    return _se_chunk(cfg.n_tx, cfg.spacing, n_users, Scheme(scheme).value, rho,
-                     seed, start, count)
+    """The rho-free kernel's (count, K, K) gains reduced to SE at ``rho``."""
+    gains, resampled = _gain_chunk(cfg.n_tx, cfg.spacing, n_users, Scheme(scheme).value,
+                                   seed, start, count)
+    return se_from_gains(gains, rho), resampled
 
 
 def sinr(se):
@@ -131,15 +133,15 @@ def test_se_values():
 
 def test_monte_carlo_determinism():
     cfg = ArrayConfig(8, 0.5)
-    a = run_monte_carlo(cfg, 2, Scheme.ABS, SnrPoint.from_db(10), 500, 99)
-    b = run_monte_carlo(cfg, 2, Scheme.ABS, SnrPoint.from_db(10), 500, 99)
+    a = run_monte_carlo(cfg, 2, Scheme.ABS, [SnrPoint.from_db(10)], 500, 99)
+    b = run_monte_carlo(cfg, 2, Scheme.ABS, [SnrPoint.from_db(10)], 500, 99)
     assert a == b
 
 
 def test_monte_carlo_worker_count_invariance():
     cfg = ArrayConfig(8, 0.5)
-    a = run_monte_carlo(cfg, 3, Scheme.HBS, 100.0, 5000, 7, workers=1)
-    b = run_monte_carlo(cfg, 3, Scheme.HBS, 100.0, 5000, 7, workers=3)
+    a = run_monte_carlo(cfg, 3, Scheme.HBS, [100.0], 5000, 7, workers=1)
+    b = run_monte_carlo(cfg, 3, Scheme.HBS, [100.0], 5000, 7, workers=3)
     assert a == b
 
 
@@ -148,8 +150,8 @@ def test_no_interference_single_antenna_vs_quadrature():
     expected, err = quad(lambda x: np.log2(1 + x) * np.exp(-x), 0, np.inf)
     assert err < 1e-9
     assert expected == pytest.approx(0.8608, abs=5e-4)
-    est = run_monte_carlo(ArrayConfig(1), 1, Scheme.NO_INTERFERENCE,
-                          SnrPoint.from_db(0.0), 200000, 31)
+    (est,) = run_monte_carlo(ArrayConfig(1), 1, Scheme.NO_INTERFERENCE,
+                             [SnrPoint.from_db(0.0)], 200000, 31)
     assert abs(est.mean - expected) < 4 * est.std_error
 
 
@@ -160,7 +162,7 @@ def test_batch_path_matches_module_operations():
     rho = 316.0
     trials = 2048
     for scheme in Scheme:
-        est = run_monte_carlo(cfg, 5, scheme, rho, trials, 2026)
+        (est,) = run_monte_carlo(cfg, 5, scheme, [rho], trials, 2026)
         block, _ = kernel_se(cfg, 5, scheme, rho, 2026, 0, trials)
         ref, attempts, tol = dense_se(cfg, 5, scheme, rho, 2026, 0, trials)
         assert np.all(np.abs(block - ref).max(axis=1) <= tol)
@@ -175,9 +177,30 @@ def test_batch_path_matches_module_operations():
 
 def test_chunk_size_invariance(monkeypatch):
     cfg = ArrayConfig(32, 0.5)
-    default = run_monte_carlo(cfg, 5, Scheme.HBS, 316.0, 2048, 2026)
+    default = run_monte_carlo(cfg, 5, Scheme.HBS, [316.0], 2048, 2026)
     monkeypatch.setattr(semetrics, "_CHUNK", 333)
-    assert run_monte_carlo(cfg, 5, Scheme.HBS, 316.0, 2048, 2026) == default
+    assert run_monte_carlo(cfg, 5, Scheme.HBS, [316.0], 2048, 2026) == default
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_snr_grid_equals_one_point_calls(workers):
+    # One simulation reduced at every point of an unsorted grid with a
+    # repeated point equals a simulation per point.  32x5 at seed 2026 with
+    # two chunks covers the HBS fallback and trial 1725's redraw.
+    cfg = ArrayConfig(32, 0.5)
+    trials = 2500
+    assert trials > semetrics._CHUNK
+    snrs = [SnrPoint.from_db(30.0), 0.5, SnrPoint.from_db(-10.0), SnrPoint.from_db(30.0)]
+    for scheme in Scheme:
+        grid = run_monte_carlo(cfg, 5, scheme, snrs, trials, 2026, workers=workers)
+        assert grid == tuple(run_monte_carlo(cfg, 5, scheme, [snr], trials, 2026)[0]
+                             for snr in snrs)
+        assert grid[0].n_resampled == (1 if scheme is Scheme.HBS else 0)
+
+
+def test_empty_snr_grid_rejected():
+    with pytest.raises(ValueError, match="SNR"):
+        run_monte_carlo(ArrayConfig(4), 2, Scheme.ABS, [], 10, 0)
 
 
 def test_monotone_in_snr_for_interference_free_schemes():
@@ -186,10 +209,10 @@ def test_monotone_in_snr_for_interference_free_schemes():
     angles = rng.uniform(0, 2 * np.pi, 3)
     gains = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / np.sqrt(2)
     h = np.stack([los_channel(PathParams(g, a), cfg) for g, a in zip(gains, angles)])
-    bf = hbs_beamformer_set(h, angles, cfg)
+    f = hbs_beamformer_set(h, angles, cfg)
     prev = -1.0
     for rho_db in np.arange(-10, 41, 1.0):
-        se = se_from_gains(np.abs(h @ bf.composite) ** 2,
+        se = se_from_gains(np.abs(h @ f) ** 2,
                            SnrPoint.from_db(rho_db).rho_linear)[0]
         assert se >= prev
         prev = se
@@ -217,25 +240,25 @@ def test_hbs_equals_own_zero_interference_se():
         gains = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2)
         h = np.stack([los_channel(PathParams(g, a), cfg)
                       for g, a in zip(gains, angles)])
-        bf = hbs_beamformer_set(h, angles, cfg)
-        g2 = np.abs(h @ bf.composite) ** 2
+        f = hbs_beamformer_set(h, angles, cfg)
+        g2 = np.abs(h @ f) ** 2
         for rho_db in (0.0, 30.0, 60.0):
             rho = SnrPoint.from_db(rho_db)
             full = se_from_gains(g2, rho.rho_linear)[0]
-            no_int = np.log2(1 + rho.rho_linear * abs(h[0] @ bf.composite[:, 0]) ** 2)
+            no_int = np.log2(1 + rho.rho_linear * abs(h[0] @ f[:, 0]) ** 2)
             assert abs(full - no_int) < 1e-6
 
 
 def test_stderr_shrinks_with_trials():
     cfg = ArrayConfig(8, 0.5)
-    a = run_monte_carlo(cfg, 2, Scheme.ABS, 100.0, 4000, 50)
-    b = run_monte_carlo(cfg, 2, Scheme.ABS, 100.0, 8000, 51)
+    (a,) = run_monte_carlo(cfg, 2, Scheme.ABS, [100.0], 4000, 50)
+    (b,) = run_monte_carlo(cfg, 2, Scheme.ABS, [100.0], 8000, 51)
     ratio = b.std_error / a.std_error
     assert 0.8 * (1 / np.sqrt(2)) < ratio < 1.2 * (1 / np.sqrt(2))
 
 
 def test_estimate_fields():
-    est = run_monte_carlo(ArrayConfig(4), 2, Scheme.ABS, 10.0, 300, 1)
+    (est,) = run_monte_carlo(ArrayConfig(4), 2, Scheme.ABS, [10.0], 300, 1)
     assert isinstance(est, MonteCarloEstimate)
     assert est.n_trials == 300
     assert est.n_resampled == 0
@@ -246,23 +269,23 @@ def test_estimate_fields():
 
 def test_invalid_parameters():
     with pytest.raises(ValueError):
-        run_monte_carlo(ArrayConfig(4), 0, Scheme.ABS, 1.0, 10, 0)
+        run_monte_carlo(ArrayConfig(4), 0, Scheme.ABS, [1.0], 10, 0)
     with pytest.raises(ValueError):
-        run_monte_carlo(ArrayConfig(4), 2, Scheme.ABS, 1.0, 0, 0)
+        run_monte_carlo(ArrayConfig(4), 2, Scheme.ABS, [1.0], 0, 0)
 
 
 @pytest.mark.parametrize("rho", [float("nan"), -1.0, 0.0, float("inf")])
 def test_raw_rho_validated(rho):
     with pytest.raises(ValueError):
-        run_monte_carlo(ArrayConfig(4), 2, Scheme.ABS, rho, 10, 0)
+        run_monte_carlo(ArrayConfig(4), 2, Scheme.ABS, [rho], 10, 0)
 
 
 def test_hbs_more_users_than_antennas_rejected():
     with pytest.raises(ValueError, match=r"3 users on 2 antennas"):
-        run_monte_carlo(ArrayConfig(2), 3, Scheme.HBS, 10.0, 2, 0)
+        run_monte_carlo(ArrayConfig(2), 3, Scheme.HBS, [10.0], 2, 0)
     # the analog schemes stay defined for K > n_tx
     for scheme in (Scheme.ABS, Scheme.NO_INTERFERENCE):
-        assert np.isfinite(run_monte_carlo(ArrayConfig(2), 3, scheme, 10.0, 20, 0).mean)
+        assert np.isfinite(run_monte_carlo(ArrayConfig(2), 3, scheme, [10.0], 20, 0)[0].mean)
 
 
 # Property tests: small trial counts over random geometry, seeds and SNRs.
