@@ -72,8 +72,16 @@ def positive_int(text: str) -> int:
     return value
 
 
+# Keys a sweep config file may set, one per sweep flag.
+CONFIG_KEYS = ("ntx", "nbeams", "snr_db", "trials", "seed", "spacing", "schemes")
+
+
 def load_config_file(path: str) -> dict:
-    """Flat key=value config file; '#' starts a comment."""
+    """Flat key=value config file; '#' starts a comment.
+
+    Keys are the sweep flags without dashes (``snr-db`` and ``snr_db`` are
+    the same key); an unknown key is a usage error, not a silent default.
+    """
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -83,7 +91,11 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
             key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in CONFIG_KEYS:
+                raise UsageError(f"{path}:{lineno}: unknown key {key!r}; "
+                                 f"valid: {', '.join(CONFIG_KEYS)}")
+            values[key] = value.strip()
     return values
 
 

@@ -6,14 +6,20 @@ Noise power is unity; rho is the per-user transmit SNR, so it multiplies
 both the signal and the interference terms.
 
 The kernel is rho-free.  One computation path, vectorized over a chunk of
-trials, gives the gains |h_k f_i|^2 of every trial: draws, steering columns,
-channel rows and beams.  The hybrid scheme solves its zero-forcing stage in
-float64 for the whole chunk; a trial the batched solve flags (large or
-non-finite residual, a zero composite column, or a singular batch) is
-recomputed on the same arrays through the extended-precision chain
-``hbs_beamformer_set``, and a draw that chain finds singular is redrawn in
-place from the trial's next resample stream.  SNR enters only in the SE
-reduction ``se_from_gains``, so one simulation serves a whole SNR grid.
+trials, gives the gains |h_k f_i|^2 of every trial from K x K arrays alone.
+In the pure-LoS model the equivalent channel of a trial is
+H_hat = sqrt(N) diag(g) G, where G = A^H A is the closed-form (Dirichlet)
+Gram matrix of the users' steering columns, so no n_tx-long vector is built:
+ABS gains are |H_hat|^2, NoInterference keeps the diagonal N |g_k|^2, and the
+hybrid scheme solves W = H_hat^{-1} in float64 for the whole chunk and
+normalizes column i by its composite power w_i^H G w_i.  A trial the batched
+solve cannot trust (large or non-finite residual, a condition bound
+eps64 ||H_hat||_F ||W||_F above 1e-9, a zero composite column, or a singular
+batch) is recomputed from its own n_tx-long channel rows through the
+extended-precision chain ``hbs_beamformer_set``, and a draw that chain finds
+singular is redrawn in place from the trial's next resample stream.
+``MonteCarloEstimate.n_fallback`` counts those trials.  SNR enters only in
+the SE reduction ``se_from_gains``, so one simulation serves a whole SNR grid.
 
 Per-trial results come from independent child streams and are written into
 a (trials, K, K) gain array that is reduced in a fixed order, so the estimate
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig
+from .arrays import ArrayConfig, phase_progression, steering_vector
 from .beamforming import DegeneratePrecoder, SingularEquivalentChannel, hbs_beamformer_set
 from .channel import child_rng, sample_path_params
 
@@ -37,6 +43,10 @@ _CHUNK = 2048
 # Batched-solve residual above which a trial is recomputed through the
 # extended-precision chain (which applies the pivot threshold contract).
 _RESIDUAL_TOL = 1e-6
+# Bound on eps64 * cond(H_hat), the float64 solve's forward error, above
+# which a trial is recomputed through the extended-precision chain.
+_FORWARD_TOL = 1e-9
+_EPS64 = np.finfo(np.float64).eps
 # Draws tried per trial (the first plus resamples) before giving up.
 _MAX_ATTEMPTS = 1000
 
@@ -84,6 +94,7 @@ class MonteCarloEstimate:
     std_error: float
     n_trials: int
     n_resampled: int
+    n_fallback: int  # trials computed by the extended-precision chain
     per_user_mean: tuple  # per-stream means, diagnostics only
 
 
@@ -99,19 +110,40 @@ def se_from_gains(gains: np.ndarray, rho_lin: float) -> np.ndarray:
     return np.log2(1.0 + rho_lin * diag / (rho_lin * interference + 1.0))
 
 
-def _los(aods, gains, n_tx, spacing):
-    """Steering columns (..., n_tx, K) and LoS channel rows (..., K, n_tx)."""
-    zeta = 2.0 * np.pi * spacing * np.sin(aods)
-    m = np.arange(n_tx)
-    steer = np.exp(1j * m[:, None] * zeta[..., None, :]) / np.sqrt(n_tx)
-    h = np.sqrt(n_tx) * gains[..., :, None] * np.swapaxes(steer.conj(), -1, -2)
-    return steer, h
+def _los(aods, gains, config):
+    """LoS channel rows (K, n_tx) of one trial: sqrt(n_tx) g_k a_k^H."""
+    return np.sqrt(config.n_tx) * gains[:, None] * steering_vector(aods, config).conj().T
+
+
+def _gram(aods, config):
+    """Gram matrices G = A^H A of the unit-norm steering columns, (..., K, K).
+
+    G_ki = a_k^H a_i is the Dirichlet kernel
+    e^{j(N-1)delta/2} sin(N delta/2) / (N sin(delta/2)) with
+    delta = zeta_i - zeta_k, evaluated at the float64 lag as it stands.
+    numpy's sine reduces its argument against pi exactly, so at a lag near
+    +-2 pi both sines keep their relative accuracy and the ratio does not
+    cancel (the tests check lags within 1e-12 of 2 pi); reducing the lag by
+    the float64 2 pi first would shift it by 2.4e-16, a phase error of
+    (N-1) * 1.2e-16.  Where sin(delta/2) is zero the users' columns coincide
+    and G is 1.
+    """
+    n_tx = config.n_tx
+    zeta = phase_progression(aods, config)
+    delta = zeta[..., None, :] - zeta[..., :, None]
+    den = n_tx * np.sin(delta / 2.0)
+    coincident = den == 0.0
+    ratio = np.sin(n_tx * delta / 2.0) / np.where(coincident, 1.0, den)
+    return np.where(coincident, 1.0, np.exp(0.5j * (n_tx - 1) * delta) * ratio)
 
 
 def _gain_chunk(n_tx, spacing, n_users, scheme_value, seed, start, count):
     """Gains |h_k f_i|^2 for trials [start, start+count), vectorized over trials.
 
-    Returns the (count, K, K) gain block and the number of resampled draws.
+    Works on K x K arrays only: with the Gram matrix G of the steering
+    columns, the equivalent channel is H_hat = h A = sqrt(N) diag(g) G.
+    Returns the (count, K, K) gain block, the number of resampled draws and
+    the number of trials computed by the extended-precision chain.
     """
     config = ArrayConfig(n_tx=n_tx, spacing=spacing)
     scheme = Scheme(scheme_value)
@@ -120,29 +152,33 @@ def _gain_chunk(n_tx, spacing, n_users, scheme_value, seed, start, count):
     for i in range(count):
         rng = child_rng(seed, start + i)
         aods[i], gains[i] = sample_path_params(rng, n_users)
-    steer, h = _los(aods, gains, n_tx, spacing)
 
+    gram = _gram(aods, config)
+    h_hat = np.sqrt(n_tx) * gains[:, :, None] * gram  # (T, K, K) equivalent channel
+    g2 = np.abs(h_hat) ** 2
     flagged = []
     if scheme is Scheme.NO_INTERFERENCE:
-        g2 = np.abs(np.einsum("tkn,tnk->tk", h, steer))[:, :, None] ** 2 * np.eye(n_users)
-    elif scheme is Scheme.ABS:
-        g2 = np.abs(h @ steer) ** 2
-    else:
-        h_hat = h @ steer  # (T, K, K) equivalent channel
+        g2 *= np.eye(n_users)
+    elif scheme is Scheme.HBS:
         eye = np.broadcast_to(np.eye(n_users), (count, n_users, n_users))
         try:
             w = np.linalg.solve(h_hat, eye.copy())
         except np.linalg.LinAlgError:
-            g2 = np.empty((count, n_users, n_users))
             flagged = range(count)
         else:
-            residual = np.abs(h_hat @ w - eye).max(axis=(1, 2))
-            composite = steer @ w
-            norms = np.linalg.norm(composite, axis=1)  # (T, K)
-            bad = (residual > _RESIDUAL_TOL) | ~np.isfinite(residual) | (norms == 0).any(axis=1)
+            zf = h_hat @ w
+            residual = np.abs(zf - eye).max(axis=(1, 2))
+            # ||H_hat||_F ||W||_F >= cond_2(H_hat), and eps64 * cond_2 is the
+            # scale of the float64 solve's forward error, which the residual
+            # does not show.
+            cond = np.linalg.norm(h_hat, axis=(1, 2)) * np.linalg.norm(w, axis=(1, 2))
+            # ||A w_i||^2 = w_i^H G w_i is the power of composite column i.
+            power = np.einsum("tki,tkl,tli->ti", w.conj(), gram, w).real
+            good = ((residual <= _RESIDUAL_TOL) & (_EPS64 * cond <= _FORWARD_TOL)
+                    & (power > 0.0).all(axis=1))
             with np.errstate(invalid="ignore", divide="ignore"):
-                g2 = np.abs(h @ (composite / norms[:, None, :])) ** 2
-            flagged = np.nonzero(bad)[0]
+                g2 = np.abs(zf) ** 2 / power[:, None, :]
+            flagged = np.nonzero(~good)[0]
 
     n_resampled = 0
     for i in flagged:
@@ -150,17 +186,17 @@ def _gain_chunk(n_tx, spacing, n_users, scheme_value, seed, start, count):
             if attempt:
                 aods[i], gains[i] = sample_path_params(
                     child_rng(seed, start + i, attempt), n_users)
-                h[i] = _los(aods[i], gains[i], n_tx, spacing)[1]
+            h = _los(aods[i], gains[i], config)
             try:
-                f = hbs_beamformer_set(h[i], aods[i], config)
+                f = hbs_beamformer_set(h, aods[i], config)
             except (SingularEquivalentChannel, DegeneratePrecoder):
                 n_resampled += 1
                 continue
-            g2[i] = np.abs(h[i] @ f) ** 2
+            g2[i] = np.abs(h @ f) ** 2
             break
         else:
             raise RuntimeError("resample limit exceeded; check channel statistics")
-    return g2, n_resampled
+    return g2, n_resampled, len(flagged)
 
 
 def run_monte_carlo(config: ArrayConfig, n_users: int, scheme: Scheme, snrs,
@@ -192,13 +228,14 @@ def run_monte_carlo(config: ArrayConfig, n_users: int, scheme: Scheme, snrs,
              s, min(_CHUNK, trials - s)) for s in starts]
 
     gains = np.empty((trials, n_users, n_users))
-    n_resampled = 0
+    n_resampled = n_fallback = 0
     pooled = workers > 1 and len(args) > 1
     with ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
         blocks = (pool.map if pooled else map)(_gain_chunk, *zip(*args))
-        for start, (block, resampled) in zip(starts, blocks):
+        for start, (block, resampled, fallback) in zip(starts, blocks):
             gains[start:start + block.shape[0]] = block
             n_resampled += resampled
+            n_fallback += fallback
 
     estimates = []
     for rho in snrs:
@@ -210,6 +247,7 @@ def run_monte_carlo(config: ArrayConfig, n_users: int, scheme: Scheme, snrs,
             std_error=float(std / np.sqrt(flat.size)),
             n_trials=trials,
             n_resampled=n_resampled,
+            n_fallback=n_fallback,
             per_user_mean=tuple(se.mean(axis=0)),
         ))
     return tuple(estimates)

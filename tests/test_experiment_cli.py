@@ -98,6 +98,19 @@ def test_bad_config_file_is_usage_error(tmp_path):
     assert main(["sweep", "--config", str(bad)]) == 1
 
 
+def test_unknown_config_key_exit_one(tmp_path, monkeypatch, capsys):
+    # a misspelled key must not run the sweep with the default it failed to set
+    typo = tmp_path / "typo.cfg"
+    typo.write_text("ntx = 8\ntrails = 10\n")
+    calls = []
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **kw: calls.append(a) or [])
+    assert main(["sweep", "--config", str(typo)]) == 1
+    err = capsys.readouterr().err
+    assert "'trails'" in err
+    assert "ntx, nbeams, snr_db, trials, seed, spacing, schemes" in err
+    assert calls == []
+
+
 def test_usage_errors_exit_one():
     assert main(["sweep", "--snr-db", "nope"]) == 1
     assert main(["sweep", "--schemes", "MRT"]) == 1

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from beamsteer import semetrics
-from beamsteer.arrays import ArrayConfig, steering_vector
+from beamsteer.arrays import ArrayConfig, phase_progression, steering_vector
 from beamsteer.beamforming import (DegeneratePrecoder, SingularEquivalentChannel,
                                    build_rf_matrix, hbs_beamformer_set)
 from beamsteer.channel import PathParams, child_rng, los_channel, sample_path_params
-from beamsteer.semetrics import (MonteCarloEstimate, Scheme, SnrPoint, _gain_chunk,
+from beamsteer.semetrics import (MonteCarloEstimate, Scheme, SnrPoint, _gain_chunk, _gram,
                                  run_monte_carlo, se_from_gains)
 
 
@@ -22,13 +22,12 @@ def dense_trial_se(cfg, n_users, scheme, rho, seed, trial):
     the steering columns (ABS, NoInterference) or ``hbs_beamformer_set`` (HBS,
     redrawing from the next attempt's stream while it reports a singular
     draw) and evaluates the SINR from ``h @ F`` directly.
-    Returns (per-stream SE, number of redraws, cond of the equivalent channel).
+    Returns (per-stream SE, number of redraws).
     """
     for attempt in range(1000):
         aods, gains = sample_path_params(child_rng(seed, trial, attempt), n_users)
         h = np.stack([los_channel(PathParams(g, a), cfg) for g, a in zip(gains, aods)])
         f = steering_vector(aods, cfg)
-        cond = np.linalg.cond(h @ f)
         if scheme is Scheme.HBS:
             try:
                 f = hbs_beamformer_set(h, aods, cfg)
@@ -40,28 +39,27 @@ def dense_trial_se(cfg, n_users, scheme, rho, seed, trial):
             interference = 0.0 if scheme is Scheme.NO_INTERFERENCE else sum(
                 abs(h[k] @ f[:, i]) ** 2 for i in range(n_users) if i != k)
             out[k] = np.log2(1.0 + rho * signal / (rho * interference + 1.0))
-        return out, attempt, cond
+        return out, attempt
     raise RuntimeError("reference resample limit exceeded")
 
 
 def dense_se(cfg, n_users, scheme, rho, seed, start, count):
     """Reference (count, K) SE block, redraws per trial and per-trial tolerance.
 
-    The kernel solves HBS in float64 and sends only trials with a large
-    residual to the extended-precision chain.  A backward-stable solve has a
-    small residual but a forward error of about eps64 * cond(H_hat), which
-    moves the normalized beams, so an HBS trial may differ by that much.
+    The kernel solves HBS in float64 and sends a trial to the
+    extended-precision chain when its residual is large or when
+    eps64 ||H_hat||_F ||W||_F, a bound on the float64 solve's forward error,
+    exceeds 1e-9.  Every scheme therefore matches per trial to a flat 1e-9.
     """
-    se, attempts, cond = zip(*(dense_trial_se(cfg, n_users, scheme, rho, seed, t)
-                               for t in range(start, start + count)))
-    tol = 1e-9 + (np.finfo(float).eps * np.array(cond) if scheme is Scheme.HBS else 0.0)
-    return np.array(se), list(attempts), np.broadcast_to(tol, (count,))
+    se, attempts = zip(*(dense_trial_se(cfg, n_users, scheme, rho, seed, t)
+                         for t in range(start, start + count)))
+    return np.array(se), list(attempts), np.full(count, 1e-9)
 
 
 def kernel_se(cfg, n_users, scheme, rho, seed, start, count):
     """The rho-free kernel's (count, K, K) gains reduced to SE at ``rho``."""
-    gains, resampled = _gain_chunk(cfg.n_tx, cfg.spacing, n_users, Scheme(scheme).value,
-                                   seed, start, count)
+    gains, resampled, _ = _gain_chunk(cfg.n_tx, cfg.spacing, n_users, Scheme(scheme).value,
+                                      seed, start, count)
     return se_from_gains(gains, rho), resampled
 
 
@@ -173,6 +171,88 @@ def test_batch_path_matches_module_operations():
             assert [t for t, a in enumerate(attempts) if a] == [1725]
         else:
             assert est.n_resampled == 0
+
+
+def gram_angles(spacing):
+    """AoDs covering the Gram kernel's hard lags, plus a few generic ones.
+
+    Pairs: coincident phases (a and pi - a), a lag of exactly 2 pi (sin values
+    +-1/(2d); pi/2 and 3pi/2 at d = 0.5), and lags within 1e-12 of 0 and of
+    2 pi.
+    """
+    step = 1e-12 / (2 * np.pi * spacing)  # change of sin(aod) that moves zeta by 1e-12
+    edge = np.arcsin(1 / (2 * spacing))
+    return np.concatenate([
+        [0.7, np.pi - 0.7],
+        [edge, np.pi + edge],
+        [0.3, np.arcsin(np.sin(0.3) + step)],
+        [np.arcsin(-1 / (2 * spacing) + step)],
+        np.random.default_rng(25).uniform(0, 2 * np.pi, 5),
+    ])
+
+
+@pytest.mark.parametrize("spacing", [0.5, 1.0])
+@pytest.mark.parametrize("n_tx", [1, 2, 16, 128])
+def test_gram_matches_steering_products(n_tx, spacing):
+    cfg = ArrayConfig(n_tx, spacing)
+    aods = gram_angles(spacing)
+    steer = steering_vector(aods, cfg)
+    dense = steer.conj().T @ steer
+    gram = _gram(aods, cfg)
+    assert np.abs(gram - dense).max() <= 10 * n_tx * np.finfo(float).eps
+    # batched over leading axes
+    assert np.array_equal(_gram(np.stack([aods, aods[::-1]]), cfg)[1],
+                          gram[::-1, ::-1])
+
+
+def extended_dense_gains(cfg, aods, gains):
+    """Gains |h_k a_i|^2 from dense steering columns, accurate to float64.
+
+    At n_tx = 65536 float64 phases m * zeta carry 1e-11 of rounding each, and
+    an interference-limited stream's SE inherits the relative error of its
+    small off-diagonal gains (1.6e-8 b/s/Hz on trial 1 below).  So the phases
+    are formed and reduced to [-pi, pi] in extended precision, and the sums
+    over the array run in ``np.clongdouble``.
+    """
+    two_pi = 4 * np.arccos(np.longdouble(0))
+    phase = (np.arange(cfg.n_tx, dtype=np.longdouble)[:, None]
+             * phase_progression(aods, cfg).astype(np.longdouble))
+    phase -= two_pi * np.round(phase / two_pi)
+    steer = np.exp(1j * phase.astype(float)).astype(np.clongdouble)
+    steer /= np.sqrt(np.longdouble(cfg.n_tx))
+    h = np.sqrt(np.longdouble(cfg.n_tx)) * gains.astype(np.clongdouble)[:, None] * steer.conj().T
+    return np.abs(h @ steer).astype(float) ** 2
+
+
+def test_large_array_kernel_matches_dense_reference():
+    # 64 trials of the (T, n_tx, K) steering array at n_tx = 65536 would take
+    # 340 MB; the Gram kernel holds only (T, K, K) arrays.
+    cfg = ArrayConfig(65536, 0.5)
+    abs_se, abs_resampled = kernel_se(cfg, 5, Scheme.ABS, 316.0, 2026, 0, 64)
+    free_se, free_resampled = kernel_se(cfg, 5, Scheme.NO_INTERFERENCE, 316.0, 2026, 0, 64)
+    assert abs_resampled == free_resampled == 0
+    for t in range(64):
+        g2 = extended_dense_gains(cfg, *sample_path_params(child_rng(2026, t), 5))
+        assert np.abs(abs_se[t] - se_from_gains(g2, 316.0)).max() <= 1e-9
+        assert np.abs(free_se[t] - se_from_gains(g2 * np.eye(5), 316.0)).max() <= 1e-9
+
+
+def test_fallback_count_matches_chain_calls():
+    # 32x5 HBS at seed 2026 flags trials on the residual and on the
+    # condition bound; each ends in one hbs_beamformer_set call that returns.
+    cfg = ArrayConfig(32, 0.5)
+    returned = []
+
+    def counted(*args, chain=semetrics.hbs_beamformer_set):
+        f = chain(*args)
+        returned.append(f)
+        return f
+
+    with mock.patch.object(semetrics, "hbs_beamformer_set", counted):
+        (est,) = run_monte_carlo(cfg, 5, Scheme.HBS, [316.0], 2048, 2026)
+    assert est.n_fallback == len(returned) > 0
+    for scheme in (Scheme.ABS, Scheme.NO_INTERFERENCE):
+        assert run_monte_carlo(cfg, 5, scheme, [316.0], 2048, 2026)[0].n_fallback == 0
 
 
 def test_chunk_size_invariance(monkeypatch):
