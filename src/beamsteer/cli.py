@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 validation failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .experiment import (DEFAULT_SEED, DEFAULT_SNR_GRID, DEFAULT_TRIALS,
@@ -21,6 +22,8 @@ from .semetrics import Scheme
 
 USAGE_ERROR = 1
 VALIDATION_FAILED = 2
+# Most points a start:step:stop SNR range may expand to.
+SNR_GRID_MAX = 10000
 
 
 class UsageError(Exception):
@@ -28,22 +31,36 @@ class UsageError(Exception):
 
 
 def parse_snr_spec(spec: str):
-    """SNR grid in dB: comma list ("-10,0,10") or start:step:stop (inclusive)."""
+    """SNR grid in dB: comma list ("-10,0,10") or start:step:stop (inclusive).
+
+    Every value must be finite, and a range may hold at most SNR_GRID_MAX
+    points; its size is checked before the grid is built.
+    """
     spec = spec.strip()
+    is_range = ":" in spec
     try:
-        if ":" in spec:
-            start, step, stop = (float(x) for x in spec.split(":"))
+        values = [float(x) for x in spec.split(":" if is_range else ",")]
+        if is_range:
+            start, step, stop = values
             if step <= 0 or stop < start:
                 raise ValueError
-            grid = []
-            v = start
-            while v <= stop + 1e-9:
-                grid.append(round(v, 10))
-                v += step
-            return tuple(grid)
-        return tuple(float(x) for x in spec.split(","))
     except ValueError:
         raise UsageError(f"bad SNR spec {spec!r}; use 'a,b,c' or 'start:step:stop'")
+    if not all(math.isfinite(x) for x in values):
+        raise UsageError(f"SNR spec {spec!r}: values must be finite")
+    if not is_range:
+        return tuple(values)
+    too_many = f"SNR range {spec!r} has more than {SNR_GRID_MAX} points"
+    if not (stop + 1e-9 - start) / step < SNR_GRID_MAX:
+        raise UsageError(too_many)
+    grid = []
+    v = start
+    while v <= stop + 1e-9:
+        if len(grid) == SNR_GRID_MAX:  # the repeated sum drifted or stalled
+            raise UsageError(too_many)
+        grid.append(round(v, 10))
+        v += step
+    return tuple(grid)
 
 
 def parse_int_list(spec: str):
@@ -65,7 +82,7 @@ def parse_schemes(spec: str):
 
 
 def positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1 (trials, workers)."""
+    """argparse type for counts that must be at least 1 (beams, trials, workers)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
@@ -107,7 +124,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p, with_grid=True):
     if with_grid:
         p.add_argument("--ntx", help="comma list of transmit antenna counts")
-        p.add_argument("--nbeams", type=int, help="number of beams (= users = RF chains)")
+        p.add_argument("--nbeams", type=positive_int,
+                       help="number of beams (= users = RF chains)")
         p.add_argument("--snr-db", dest="snr_db", help="SNR grid, 'a,b,c' or 'start:step:stop'")
         p.add_argument("--spacing", type=float, help="element spacing in wavelengths")
         p.add_argument("--schemes", help="comma subset of ABS,HBS,NoInterference")
@@ -133,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="closed-form bounds only, no simulation")
     p.add_argument("--ntx", help="comma list of transmit antenna counts")
-    p.add_argument("--nbeams", type=int, help="number of beams")
+    p.add_argument("--nbeams", type=positive_int, help="number of beams")
     p.add_argument("--snr-db", dest="snr_db", help="SNR grid for the hybrid approximation")
     p.add_argument("--spacing", type=float, help="element spacing in wavelengths")
     p.add_argument("--out", help="output CSV path (default: stdout)")

@@ -10,7 +10,10 @@ import numpy as np
 
 from .arrays import ArrayConfig
 from .bounds import abs_saturation_bound, hbs_se_approx
-from .semetrics import Scheme, SnrPoint, run_monte_carlo
+from .semetrics import Scheme, SnrPoint, simulate_cells
+# Not called here since cells share draw blocks; perfbench's tracer still
+# wraps experiment.run_monte_carlo, so the name stays importable.
+from .semetrics import run_monte_carlo  # noqa: F401
 
 CSV_HEADER = "snr_db,n_tx,n_beams,label,se_mean,se_stderr,n_resampled"
 
@@ -107,17 +110,17 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1):
     """Simulate every (n_tx, scheme, snr) grid point, plus bound rows.
 
     Each (n_tx, scheme) curve is one simulation whose gains are reduced at
-    every SNR point, so a curve's points share their channel draws; the same
-    master seed is used for every curve (common random numbers).
+    every SNR point, and every curve uses the same master seed and so the
+    same draws (common random numbers), drawn once for the whole sweep.
     """
     snrs = [SnrPoint.from_db(snr_db) for snr_db in cfg.snr_db_grid]
+    cells = [(ArrayConfig(n_tx=n_tx, spacing=cfg.spacing), scheme, snrs)
+             for n_tx in cfg.n_tx_list for scheme in cfg.schemes]
+    estimates = iter(simulate_cells(cfg.n_beams, cells, cfg.trials, cfg.seed, workers))
     rows = []
     for n_tx in cfg.n_tx_list:
-        array = ArrayConfig(n_tx=n_tx, spacing=cfg.spacing)
         for scheme in cfg.schemes:
-            estimates = run_monte_carlo(array, cfg.n_beams, scheme, snrs, cfg.trials,
-                                        cfg.seed, workers=workers)
-            for snr_db, est in zip(cfg.snr_db_grid, estimates):
+            for snr_db, est in zip(cfg.snr_db_grid, next(estimates)):
                 rows.append(ResultRow(snr_db=snr_db, n_tx=n_tx,
                                       n_beams=cfg.n_beams, label=scheme.value,
                                       se_mean=est.mean, se_stderr=est.std_error,
@@ -173,59 +176,65 @@ class ValidationCheck:
         return self.lo <= self.measured <= self.hi
 
 
-def _sim(n_tx, n_beams, scheme, snr_dbs, trials, seed, workers, spacing=0.5):
-    """Mean SE of one cell at each SNR in ``snr_dbs``, from one simulation."""
-    estimates = run_monte_carlo(ArrayConfig(n_tx=n_tx, spacing=spacing), n_beams, scheme,
-                                [SnrPoint.from_db(x) for x in snr_dbs], trials, seed,
-                                workers=workers)
-    return [est.mean for est in estimates]
-
-
 def run_validation(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
                    workers: int = 1):
     """Measure the simulation-vs-bound gaps of the four figure scenarios at
     rho = 30 dB and compare them against their expected windows."""
+    fig2_windows = {16: (0.15, 0.45), 32: (0.05, 0.35), 128: (0.0, 0.1)}
+    fig3_windows = {3: (0.0, 0.2), 5: (0.05, 0.25)}
+    # (n_tx, scheme, SNRs in dB) of every cell by beam count; the cells of a
+    # beam count share one draw block.
+    cells = {2: [(n_tx, Scheme.ABS, (30.0, 25.0)) for n_tx in (16, 32, 128)]
+                + [(n_tx, Scheme.HBS, (30.0,)) for n_tx in fig2_windows],
+             3: [(32, Scheme.ABS, (30.0,))],
+             5: [(32, Scheme.ABS, (30.0,)), (32, Scheme.HBS, (30.0,)),
+                 (128, Scheme.HBS, (30.0,)), (128, Scheme.ABS, (30.0,))]}
+    se = {}  # (n_tx, n_beams, scheme) -> mean SE at each of the cell's SNRs
+    for n_beams, group in cells.items():
+        estimates = simulate_cells(
+            n_beams, [(ArrayConfig(n_tx=n_tx, spacing=0.5), scheme,
+                       [SnrPoint.from_db(x) for x in snr_dbs])
+                      for n_tx, scheme, snr_dbs in group], trials, seed, workers)
+        for (n_tx, scheme, _), cell in zip(group, estimates):
+            se[n_tx, n_beams, scheme] = [est.mean for est in cell]
     checks = []
 
     # Figure 1: analog saturation, K = 2.
     for n_tx in (16, 32, 128):
         bound = abs_saturation_bound(n_tx, 0.5, 2).value
-        se30, se25 = _sim(n_tx, 2, Scheme.ABS, (30.0, 25.0), trials, seed, workers)
+        se30, se25 = se[n_tx, 2, Scheme.ABS]
         checks.append(ValidationCheck("figure1", f"ABS gap to saturation, n_tx={n_tx}",
                                       abs(se30 - bound), 0.0, 0.2))
         checks.append(ValidationCheck("figure1", f"ABS flatness 25->30 dB, n_tx={n_tx}",
                                       abs(se30 - se25), 0.0, 0.05))
 
     # Figure 2: hybrid vs Log-Rayleigh approximation, K = 2.
-    fig2_windows = {16: (0.15, 0.45), 32: (0.05, 0.35), 128: (0.0, 0.1)}
     for n_tx, (lo, hi) in fig2_windows.items():
         approx = hbs_se_approx(SnrPoint.from_db(30.0), n_tx).value
-        se = _sim(n_tx, 2, Scheme.HBS, (30.0,), trials, seed, workers)[0]
         checks.append(ValidationCheck("figure2", f"HBS gap to approx, n_tx={n_tx}",
-                                      abs(se - approx), lo, hi))
+                                      abs(se[n_tx, 2, Scheme.HBS][0] - approx), lo, hi))
 
     # Figure 3: n_tx = 32, multiple beam counts.
     fig3_abs = {}
-    for n_beams, (lo, hi) in {3: (0.0, 0.2), 5: (0.05, 0.25)}.items():
+    for n_beams, (lo, hi) in fig3_windows.items():
         bound = abs_saturation_bound(32, 0.5, n_beams).value
-        se = _sim(32, n_beams, Scheme.ABS, (30.0,), trials, seed, workers)[0]
-        fig3_abs[n_beams] = abs(se - bound)
+        fig3_abs[n_beams] = abs(se[32, n_beams, Scheme.ABS][0] - bound)
         checks.append(ValidationCheck("figure3", f"ABS gap to saturation, n_beams={n_beams}",
                                       fig3_abs[n_beams], lo, hi))
     approx = hbs_se_approx(SnrPoint.from_db(30.0), 32).value
-    fig3_hbs = abs(_sim(32, 5, Scheme.HBS, (30.0,), trials, seed, workers)[0] - approx)
+    fig3_hbs = abs(se[32, 5, Scheme.HBS][0] - approx)
     checks.append(ValidationCheck("figure3", "HBS gap to approx, n_beams=5",
                                   fig3_hbs, 0.7, 1.3))
 
     # Figure 4: n_tx = 128, n_beams = 5; both gaps shrink vs figure 3.
     approx = hbs_se_approx(SnrPoint.from_db(30.0), 128).value
-    fig4_hbs = abs(_sim(128, 5, Scheme.HBS, (30.0,), trials, seed, workers)[0] - approx)
+    fig4_hbs = abs(se[128, 5, Scheme.HBS][0] - approx)
     checks.append(ValidationCheck("figure4", "HBS gap to approx",
                                   fig4_hbs, 0.05, 0.35))
     checks.append(ValidationCheck("figure4", "HBS gap shrinks vs n_tx=32",
                                   fig4_hbs, 0.0, fig3_hbs))
     bound = abs_saturation_bound(128, 0.5, 5).value
-    fig4_abs = abs(_sim(128, 5, Scheme.ABS, (30.0,), trials, seed, workers)[0] - bound)
+    fig4_abs = abs(se[128, 5, Scheme.ABS][0] - bound)
     checks.append(ValidationCheck("figure4", "ABS gap to saturation",
                                   fig4_abs, 0.0, 0.2))
     checks.append(ValidationCheck("figure4", "ABS gap shrinks vs n_tx=32",

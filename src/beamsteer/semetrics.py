@@ -5,25 +5,35 @@ requested beamformer, and averages log2(1 + SINR) over trials and streams.
 Noise power is unity; rho is the per-user transmit SNR, so it multiplies
 both the signal and the interference terms.
 
-The kernel is rho-free.  One computation path, vectorized over a chunk of
-trials, gives the gains |h_k f_i|^2 of every trial from K x K arrays alone.
-In the pure-LoS model the equivalent channel of a trial is
-H_hat = sqrt(N) diag(g) G, where G = A^H A is the closed-form (Dirichlet)
-Gram matrix of the users' steering columns, so no n_tx-long vector is built:
-ABS gains are |H_hat|^2, NoInterference keeps the diagonal N |g_k|^2, and the
-hybrid scheme solves W = H_hat^{-1} in float64 for the whole chunk and
-normalizes column i by its composite power w_i^H G w_i.  A trial the batched
-solve cannot trust (large or non-finite residual, a condition bound
-eps64 ||H_hat||_F ||W||_F above 1e-9, a zero composite column, or a singular
-batch) is recomputed from its own n_tx-long channel rows through the
-extended-precision chain ``hbs_beamformer_set``, and a draw that chain finds
-singular is redrawn in place from the trial's next resample stream.
-``MonteCarloEstimate.n_fallback`` counts those trials.  SNR enters only in
-the SE reduction ``se_from_gains``, so one simulation serves a whole SNR grid.
+A run has two stages.  The draw stage, ``draw_block``, gives the first-attempt
+(aods, gains) of every trial as one read-only block.  A trial's draws depend
+only on (seed, trial, K), never on n_tx or the scheme, so one block serves
+every cell of a run: ``simulate_cells`` draws it once and hands it to each
+(n_tx, scheme) cell, and ``experiment`` calls it once per (seed, K).  The
+gain stage turns a block into the gains |h_k f_i|^2 of one cell in chunks of
+trials, mapped over a process pool when asked for (the draws stay in the
+calling process), and reduces them at every SNR point.
+
+The gain stage is rho-free and works on K x K arrays alone.  In the pure-LoS
+model the equivalent channel of a trial is H_hat = sqrt(N) diag(g) G, where
+G = A^H A is the closed-form (Dirichlet) Gram matrix of the users' steering
+columns, so no n_tx-long vector is built: ABS gains are |H_hat|^2,
+NoInterference keeps the diagonal N |g_k|^2, and the hybrid scheme solves
+W = H_hat^{-1} in float64 for the whole chunk and normalizes column i by its
+composite power w_i^H G w_i.  A trial the batched solve cannot trust (large
+or non-finite residual, a condition bound eps64 ||H_hat||_F ||W||_F above
+1e-9, a zero composite column, or a singular batch) is recomputed from its
+own n_tx-long channel rows through the extended-precision chain
+``hbs_beamformer_set``, and a draw that chain finds singular is redrawn from
+the trial's next resample stream.  The redraw stays local to the cell: the
+shared block is never written.  ``MonteCarloEstimate.n_fallback`` counts those
+trials.  SNR enters only in the SE reduction ``se_from_gains``, so one
+simulation serves a whole SNR grid.
 
 Per-trial results come from independent child streams and are written into
 a (trials, K, K) gain array that is reduced in a fixed order, so the estimate
-is bit-identical regardless of worker count, chunk size or execution order.
+is bit-identical regardless of worker count, chunk size, execution order or
+whether the block was shared.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ import numpy as np
 
 from .arrays import ArrayConfig, phase_progression, steering_vector
 from .beamforming import DegeneratePrecoder, SingularEquivalentChannel, hbs_beamformer_set
-from .channel import child_rng, sample_path_params
+from .channel import TWO_PI, child_rng, sample_path_params
 
 _CHUNK = 2048
 # Batched-solve residual above which a trial is recomputed through the
@@ -137,8 +147,29 @@ def _gram(aods, config):
     return np.where(coincident, 1.0, np.exp(0.5j * (n_tx - 1) * delta) * ratio)
 
 
-def _gain_chunk(n_tx, spacing, n_users, scheme_value, seed, start, count):
-    """Gains |h_k f_i|^2 for trials [start, start+count), vectorized over trials.
+def draw_block(seed: int, n_users: int, trials: int, start: int = 0):
+    """Draw stage: first-attempt draws of trials [start, start + trials).
+
+    Returns read-only (aods, gains) arrays of shape (trials, n_users), row t
+    byte-identical to ``sample_path_params(child_rng(seed, start + t), n_users)``:
+    each trial's stream fills its uniform row and its 2 K normals in place, and
+    the angle and gain transforms then run once over the block.
+    """
+    u = np.empty((trials, n_users))
+    z = np.empty((trials, 2, n_users))
+    for i in range(trials):
+        rng = child_rng(seed, start + i)
+        rng.random(out=u[i])
+        rng.standard_normal(out=z[i])
+    u *= TWO_PI
+    gains = (z[:, 0] + 1j * z[:, 1]) * np.sqrt(0.5)
+    u.flags.writeable = gains.flags.writeable = False
+    return u, gains
+
+
+def _gain_chunk(aods, gains, n_tx, spacing, scheme_value, seed, start):
+    """Gain stage on one chunk: gains |h_k f_i|^2 of the trials drawn as
+    (aods, gains), which are trials [start, start + len(aods)) of ``seed``.
 
     Works on K x K arrays only: with the Gram matrix G of the steering
     columns, the equivalent channel is H_hat = h A = sqrt(N) diag(g) G.
@@ -147,12 +178,7 @@ def _gain_chunk(n_tx, spacing, n_users, scheme_value, seed, start, count):
     """
     config = ArrayConfig(n_tx=n_tx, spacing=spacing)
     scheme = Scheme(scheme_value)
-    aods = np.empty((count, n_users))
-    gains = np.empty((count, n_users), dtype=complex)
-    for i in range(count):
-        rng = child_rng(seed, start + i)
-        aods[i], gains[i] = sample_path_params(rng, n_users)
-
+    count, n_users = aods.shape
     gram = _gram(aods, config)
     h_hat = np.sqrt(n_tx) * gains[:, :, None] * gram  # (T, K, K) equivalent channel
     g2 = np.abs(h_hat) ** 2
@@ -182,13 +208,15 @@ def _gain_chunk(n_tx, spacing, n_users, scheme_value, seed, start, count):
 
     n_resampled = 0
     for i in flagged:
+        # a redraw rebinds the trial's own arrays; the shared block stays as drawn
+        trial_aods, trial_gains = aods[i], gains[i]
         for attempt in range(_MAX_ATTEMPTS):
             if attempt:
-                aods[i], gains[i] = sample_path_params(
+                trial_aods, trial_gains = sample_path_params(
                     child_rng(seed, start + i, attempt), n_users)
-            h = _los(aods[i], gains[i], config)
+            h = _los(trial_aods, trial_gains, config)
             try:
-                f = hbs_beamformer_set(h, aods[i], config)
+                f = hbs_beamformer_set(h, trial_aods, config)
             except (SingularEquivalentChannel, DegeneratePrecoder):
                 n_resampled += 1
                 continue
@@ -199,20 +227,8 @@ def _gain_chunk(n_tx, spacing, n_users, scheme_value, seed, start, count):
     return g2, n_resampled, len(flagged)
 
 
-def run_monte_carlo(config: ArrayConfig, n_users: int, scheme: Scheme, snrs,
-                    trials: int, seed: int,
-                    workers: int = 1) -> tuple[MonteCarloEstimate, ...]:
-    """Monte Carlo estimates of the expected per-stream SE over an SNR grid.
-
-    ``snrs`` is a non-empty sequence of ``SnrPoint`` or linear SNRs, each
-    finite and positive.  The trials are simulated once and every point is
-    reduced from the same gains; the result holds one ``MonteCarloEstimate``
-    per point, in the given order.  Streams of one trial are exchangeable
-    under i.i.d. user statistics, so each estimate averages over trials and
-    streams.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+def _check_cell(config: ArrayConfig, n_users: int, scheme: Scheme, snrs):
+    """The scheme and SNR points of one cell, as (Scheme, list of SnrPoint)."""
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
     scheme = Scheme(scheme)
@@ -222,24 +238,34 @@ def run_monte_carlo(config: ArrayConfig, n_users: int, scheme: Scheme, snrs,
     snrs = [p if isinstance(p, SnrPoint) else SnrPoint.from_linear(float(p)) for p in snrs]
     if not snrs:
         raise ValueError("at least one SNR point is required")
+    return scheme, snrs
 
+
+def _simulate(block, config, scheme, snrs, seed, workers):
+    """Gain stage of one cell: its estimates at every SNR point.
+
+    Chunks of the read-only ``block`` go through ``_gain_chunk``, over a
+    process pool when ``workers > 1``.
+    """
+    aods, gains = block
+    trials, n_users = aods.shape
     starts = range(0, trials, _CHUNK)
-    args = [(config.n_tx, config.spacing, n_users, scheme.value, seed,
-             s, min(_CHUNK, trials - s)) for s in starts]
+    args = [(aods[s:s + _CHUNK], gains[s:s + _CHUNK], config.n_tx, config.spacing,
+             scheme.value, seed, s) for s in starts]
 
-    gains = np.empty((trials, n_users, n_users))
+    g2 = np.empty((trials, n_users, n_users))
     n_resampled = n_fallback = 0
     pooled = workers > 1 and len(args) > 1
     with ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
-        blocks = (pool.map if pooled else map)(_gain_chunk, *zip(*args))
-        for start, (block, resampled, fallback) in zip(starts, blocks):
-            gains[start:start + block.shape[0]] = block
+        chunks = (pool.map if pooled else map)(_gain_chunk, *zip(*args))
+        for start, (chunk, resampled, fallback) in zip(starts, chunks):
+            g2[start:start + chunk.shape[0]] = chunk
             n_resampled += resampled
             n_fallback += fallback
 
     estimates = []
     for rho in snrs:
-        se = se_from_gains(gains, rho.rho_linear)
+        se = se_from_gains(g2, rho.rho_linear)
         flat = se.ravel()
         std = flat.std(ddof=1) if flat.size > 1 else 0.0
         estimates.append(MonteCarloEstimate(
@@ -251,3 +277,37 @@ def run_monte_carlo(config: ArrayConfig, n_users: int, scheme: Scheme, snrs,
             per_user_mean=tuple(se.mean(axis=0)),
         ))
     return tuple(estimates)
+
+
+def simulate_cells(n_users: int, cells, trials: int, seed: int,
+                   workers: int = 1) -> list[tuple[MonteCarloEstimate, ...]]:
+    """Estimates of each (ArrayConfig, Scheme, snrs) cell of one user count.
+
+    A trial's draws do not depend on the array or the scheme, so every cell
+    is simulated from one draw block: all cells are checked, the block is
+    drawn once and each cell's gain stage reads it.  A cell's estimates are
+    those of its own ``run_monte_carlo`` call.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    checked = [(config, *_check_cell(config, n_users, scheme, snrs))
+               for config, scheme, snrs in cells]
+    block = draw_block(seed, n_users, trials)
+    return [_simulate(block, config, scheme, snrs, seed, workers)
+            for config, scheme, snrs in checked]
+
+
+def run_monte_carlo(config: ArrayConfig, n_users: int, scheme: Scheme, snrs,
+                    trials: int, seed: int,
+                    workers: int = 1) -> tuple[MonteCarloEstimate, ...]:
+    """Monte Carlo estimates of the expected per-stream SE over an SNR grid.
+
+    ``snrs`` is a non-empty sequence of ``SnrPoint`` or linear SNRs, each
+    finite and positive.  The trials are drawn and simulated once and every
+    point is reduced from the same gains; the result holds one
+    ``MonteCarloEstimate`` per point, in the given order.  Streams of one
+    trial are exchangeable under i.i.d. user statistics, so each estimate
+    averages over trials and streams.
+    """
+    (estimates,) = simulate_cells(n_users, [(config, scheme, snrs)], trials, seed, workers)
+    return estimates

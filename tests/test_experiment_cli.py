@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from beamsteer import cli
-from beamsteer.cli import (UsageError, load_config_file, main, parse_int_list,
+from beamsteer import cli, experiment, semetrics
+from beamsteer.arrays import ArrayConfig
+from beamsteer.cli import (SNR_GRID_MAX, UsageError, load_config_file, main, parse_int_list,
                            parse_schemes, parse_snr_spec)
 from beamsteer.experiment import (ABS_SATURATION_LABEL, CSV_HEADER,
                                   ExperimentConfig, ValidationCheck,
                                   format_validation_report, rows_to_csv,
-                                  run_sweep)
-from beamsteer.semetrics import Scheme
+                                  run_sweep, run_validation)
+from beamsteer.semetrics import Scheme, SnrPoint, run_monte_carlo
 
 
 def test_parse_snr_spec_forms():
@@ -192,3 +193,72 @@ def test_non_positive_threads_exit_one(capsys):
         assert main(["sweep", "--ntx", "8", "--trials", "10", "--no-bounds",
                      "--threads", threads]) == 1
         assert "--threads" in capsys.readouterr().err
+
+
+def test_non_finite_snr_range_exit_one(capsys):
+    # a non-finite stop never ended the range; a nan start gave an empty grid
+    for argv in (["sweep", "--snr-db", "0:1:inf", "--trials", "10"],
+                 ["figure1", "--snr-db=-inf:5:30", "--trials", "10"],
+                 ["bounds", "--snr-db", "nan:1:5"],
+                 ["bounds", "--snr-db", "0:nan:5"],
+                 ["bounds", "--snr-db", "nan,5"]):
+        assert main(argv) == 1
+        assert "finite" in capsys.readouterr().err
+
+
+def test_snr_range_point_cap(capsys):
+    assert len(parse_snr_spec(f"0:1:{SNR_GRID_MAX - 1}")) == SNR_GRID_MAX
+    for spec in (f"0:1:{SNR_GRID_MAX}", "0:1e-9:30", "-1e308:1:1e308", "1e20:1:1e20"):
+        with pytest.raises(UsageError, match=f"more than {SNR_GRID_MAX} points"):
+            parse_snr_spec(spec)
+    # 3e10 points: counted and rejected before any grid is built
+    assert main(["bounds", "--snr-db", "0:1e-9:30"]) == 1
+    assert str(SNR_GRID_MAX) in capsys.readouterr().err
+
+
+def test_bounds_non_positive_nbeams_exit_one(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    for nbeams in ("0", "-3"):
+        assert main(["bounds", "--nbeams", nbeams, "--out", str(out)]) == 1
+        assert "--nbeams" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_equals_per_cell_calls(workers):
+    # the sweep draws one block for all cells; 32x5 at seed 2026 with two
+    # chunks includes trial 1725, which only the HBS cell redraws
+    grid = (-10.0, 30.0)
+    cfg = ExperimentConfig(n_tx_list=(32,), n_beams=5, snr_db_grid=grid, trials=2500,
+                           seed=2026, schemes=tuple(Scheme), bounds=False)
+    rows = run_sweep(cfg, workers=workers)
+    expected = []
+    for scheme in Scheme:
+        estimates = run_monte_carlo(ArrayConfig(32, 0.5), 5, scheme,
+                                    [SnrPoint.from_db(x) for x in grid], 2500, 2026)
+        expected += [(scheme.value, e.mean, e.std_error, e.n_resampled) for e in estimates]
+    assert [(r.label, r.se_mean, r.se_stderr, r.n_resampled) for r in rows] == expected
+    assert [r.n_resampled for r in rows] == [0, 0, 1, 1, 0, 0]
+
+
+def test_validation_equals_per_cell_calls(monkeypatch):
+    # three draw blocks (K = 2, 3, 5) serve the eleven cells
+    drawn, groups = [], []
+
+    def draw(seed, n_users, trials, draw_block=semetrics.draw_block):
+        drawn.append(n_users)
+        return draw_block(seed, n_users, trials)
+
+    def simulate_cells(n_users, cells, trials, seed, workers, run=semetrics.simulate_cells):
+        estimates = run(n_users, cells, trials, seed, workers)
+        groups.append((n_users, cells, estimates))
+        return estimates
+
+    monkeypatch.setattr(semetrics, "draw_block", draw)
+    monkeypatch.setattr(experiment, "simulate_cells", simulate_cells)
+    assert len(run_validation(trials=300, seed=9)) == 16
+    assert drawn == [2, 3, 5]
+    assert sum(len(cells) for _, cells, _ in groups) == 11
+    for n_users, cells, estimates in groups:
+        for (array, scheme, snrs), cell in zip(cells, estimates):
+            assert cell == run_monte_carlo(array, n_users, scheme, snrs, 300, 9)

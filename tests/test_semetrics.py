@@ -12,7 +12,7 @@ from beamsteer.beamforming import (DegeneratePrecoder, SingularEquivalentChannel
                                    build_rf_matrix, hbs_beamformer_set)
 from beamsteer.channel import PathParams, child_rng, los_channel, sample_path_params
 from beamsteer.semetrics import (MonteCarloEstimate, Scheme, SnrPoint, _gain_chunk, _gram,
-                                 run_monte_carlo, se_from_gains)
+                                 draw_block, run_monte_carlo, se_from_gains)
 
 
 def dense_trial_se(cfg, n_users, scheme, rho, seed, trial):
@@ -56,11 +56,16 @@ def dense_se(cfg, n_users, scheme, rho, seed, start, count):
     return np.array(se), list(attempts), np.full(count, 1e-9)
 
 
-def kernel_se(cfg, n_users, scheme, rho, seed, start, count):
-    """The rho-free kernel's (count, K, K) gains reduced to SE at ``rho``."""
-    gains, resampled, _ = _gain_chunk(cfg.n_tx, cfg.spacing, n_users, Scheme(scheme).value,
-                                      seed, start, count)
-    return se_from_gains(gains, rho), resampled
+def kernel_se(cfg, n_users, scheme, rho, seed, start, count, block=None):
+    """The rho-free kernel's (count, K, K) gains reduced to SE at ``rho``.
+
+    The gain stage runs on ``block``, by default the draw stage's block of
+    trials [start, start + count).
+    """
+    aods, gains = block or draw_block(seed, n_users, count, start)
+    g2, resampled, _ = _gain_chunk(aods, gains, cfg.n_tx, cfg.spacing, Scheme(scheme).value,
+                                   seed, start)
+    return se_from_gains(g2, rho), resampled
 
 
 def sinr(se):
@@ -278,6 +283,27 @@ def test_snr_grid_equals_one_point_calls(workers):
         assert grid[0].n_resampled == (1 if scheme is Scheme.HBS else 0)
 
 
+@pytest.mark.parametrize("n_users", range(1, 7))
+def test_draw_block_is_stacked_per_trial_draws(n_users):
+    # one block spans a gain-stage chunk boundary, one is longer than a chunk
+    for seed, start, count in ((2026, 0, 7), (0, semetrics._CHUNK - 3, 6), (7, 10**6, 3),
+                               (2**32 - 1, 1, semetrics._CHUNK + 5)):
+        aods, gains = draw_block(seed, n_users, count, start)
+        ref_aods, ref_gains = zip(*(sample_path_params(child_rng(seed, t), n_users)
+                                    for t in range(start, start + count)))
+        assert aods.tobytes() == np.stack(ref_aods).tobytes()
+        assert gains.tobytes() == np.stack(ref_gains).tobytes()
+        assert aods.shape == gains.shape == (count, n_users)
+
+
+def test_draw_block_is_read_only():
+    aods, gains = draw_block(2026, 3, 4)
+    for array in (aods, gains):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+
+
 def test_empty_snr_grid_rejected():
     with pytest.raises(ValueError, match="SNR"):
         run_monte_carlo(ArrayConfig(4), 2, Scheme.ABS, [], 10, 0)
@@ -407,8 +433,11 @@ def test_kernel_equivariant_under_user_permutation(cell, scheme, rho, random):
         aods, gains = draw(rng, n_paths)
         return aods[perm], gains[perm]
 
+    # first attempts come from the block, redraws from sample_path_params
+    aods, gains = draw_block(seed, n_users, count, start)
     with mock.patch.object(semetrics, "sample_path_params", permuted_draw):
-        permuted, _ = kernel_se(cfg, n_users, scheme, rho, seed, start, count)
+        permuted, _ = kernel_se(cfg, n_users, scheme, rho, seed, start, count,
+                                block=(aods[:, perm], gains[:, perm]))
     # both sides carry the float64 forward error that dense_se allows
     _, _, tol = dense_se(cfg, n_users, scheme, rho, seed, start, count)
     assert np.all(np.abs(permuted - block[:, perm]).max(axis=1) <= 2 * tol)
