@@ -35,15 +35,31 @@ def child_rng(master_seed: int, trial: int, attempt: int = 0) -> np.random.Gener
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def sample_path_params(rng: np.random.Generator, n_paths: int):
-    """Draw n_paths (aod, gain) pairs; the single sampling routine shared by
-    every consumer so that draw order is fixed.
+def fill_path_draws(rng: np.random.Generator, u: np.ndarray, z: np.ndarray) -> None:
+    """Fill one draw's variates in place, in the fixed draw order: n uniforms
+    into ``u`` of shape (n,), then 2n standard normals into ``z`` of shape
+    (2, n).  ``path_params`` turns them into (aods, gains)."""
+    rng.random(out=u)
+    rng.standard_normal(out=z)
 
-    Returns (aods, gains) arrays: aod ~ U[0, 2*pi), gain ~ CN(0, 1).
+
+def path_params(u: np.ndarray, z: np.ndarray):
+    """(aods, gains) from the variates of one draw or of a stack of draws,
+    ``u`` (..., n) and ``z`` (..., 2, n): aod = 2 pi u ~ U[0, 2 pi) and
+    gain = (z_0 + j z_1) / sqrt(2) ~ CN(0, 1)."""
+    return TWO_PI * u, (z[..., 0, :] + 1j * z[..., 1, :]) * np.sqrt(0.5)
+
+
+def sample_path_params(rng: np.random.Generator, n_paths: int):
+    """Draw n_paths (aod, gain) pairs from ``rng``.
+
+    Returns (aods, gains) arrays: aod ~ U[0, 2*pi), gain ~ CN(0, 1).  Every
+    consumer draws through ``fill_path_draws`` and ``path_params`` (the batched
+    ``semetrics.draw_block`` too), so the draw order is fixed in one place.
     """
-    aods = rng.uniform(0.0, TWO_PI, n_paths)
-    gains = (rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths)) * np.sqrt(0.5)
-    return aods, gains
+    u, z = np.empty(n_paths), np.empty((2, n_paths))
+    fill_path_draws(rng, u, z)
+    return path_params(u, z)
 
 
 def los_channel(path: PathParams, config: ArrayConfig) -> np.ndarray:

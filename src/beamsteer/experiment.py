@@ -10,10 +10,7 @@ import numpy as np
 
 from .arrays import ArrayConfig
 from .bounds import abs_saturation_bound, hbs_se_approx
-from .semetrics import Scheme, SnrPoint, simulate_cells
-# Not called here since cells share draw blocks; perfbench's tracer still
-# wraps experiment.run_monte_carlo, so the name stays importable.
-from .semetrics import run_monte_carlo  # noqa: F401
+from .semetrics import Scheme, SnrPoint, check_cell, draw_block, run_monte_carlo
 
 CSV_HEADER = "snr_db,n_tx,n_beams,label,se_mean,se_stderr,n_resampled"
 
@@ -104,6 +101,21 @@ def bound_rows(n_tx: int, n_beams: int, spacing: float, snr_db_grid,
                                   label=HBS_APPROX_LABEL, se_mean=b.value,
                                   se_stderr=None, n_resampled=None))
     return rows
+
+
+def simulate_cells(n_users: int, cells, trials: int, seed: int, workers: int = 1):
+    """Estimates of each (ArrayConfig, Scheme, snrs) cell of one user count.
+
+    A trial's draws do not depend on the array or the scheme, so every cell
+    is checked, one block is drawn (over ``workers`` processes) and each
+    cell's ``run_monte_carlo`` reads it.  A cell's estimates are those of its
+    own ``run_monte_carlo`` call without the block.
+    """
+    for config, scheme, snrs in cells:
+        check_cell(config, n_users, scheme, snrs, trials)
+    block = draw_block(seed, n_users, trials, workers=workers)
+    return [run_monte_carlo(config, n_users, scheme, snrs, trials, seed, block=block)
+            for config, scheme, snrs in cells]
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1):

@@ -6,13 +6,13 @@ Noise power is unity; rho is the per-user transmit SNR, so it multiplies
 both the signal and the interference terms.
 
 A run has two stages.  The draw stage, ``draw_block``, gives the first-attempt
-(aods, gains) of every trial as one read-only block.  A trial's draws depend
-only on (seed, trial, K), never on n_tx or the scheme, so one block serves
-every cell of a run: ``simulate_cells`` draws it once and hands it to each
-(n_tx, scheme) cell, and ``experiment`` calls it once per (seed, K).  The
-gain stage turns a block into the gains |h_k f_i|^2 of one cell in chunks of
-trials, mapped over a process pool when asked for (the draws stay in the
-calling process), and reduces them at every SNR point.
+(aods, gains) of every trial as one read-only block, over a process pool
+when asked for.  A trial's draws depend only on (seed, trial, K), never on
+n_tx or the scheme, so one block serves every cell of a run: ``experiment``
+draws it once per (seed, K) and hands it to each (n_tx, scheme) cell's
+``run_monte_carlo``.  The gain stage turns a block into the gains
+|h_k f_i|^2 of one cell, chunk by chunk in the calling process, and reduces
+them at every SNR point.
 
 The gain stage is rho-free and works on K x K arrays alone.  In the pure-LoS
 model the equivalent channel of a trial is H_hat = sqrt(N) diag(g) G, where
@@ -40,14 +40,14 @@ from __future__ import annotations
 
 import enum
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .arrays import ArrayConfig, phase_progression, steering_vector
 from .beamforming import DegeneratePrecoder, SingularEquivalentChannel, hbs_beamformer_set
-from .channel import TWO_PI, child_rng, sample_path_params
+from .channel import child_rng, fill_path_draws, path_params, sample_path_params
 
 _CHUNK = 2048
 # Batched-solve residual above which a trial is recomputed through the
@@ -147,27 +147,39 @@ def _gram(aods, config):
     return np.where(coincident, 1.0, np.exp(0.5j * (n_tx - 1) * delta) * ratio)
 
 
-def draw_block(seed: int, n_users: int, trials: int, start: int = 0):
+def _draw_chunk(seed, n_users, start, count):
+    """Variates (u, z) of trials [start, start + count), one child stream each."""
+    u = np.empty((count, n_users))
+    z = np.empty((count, 2, n_users))
+    for i in range(count):
+        fill_path_draws(child_rng(seed, start + i), u[i], z[i])
+    return u, z
+
+
+def draw_block(seed: int, n_users: int, trials: int, start: int = 0, workers: int = 1):
     """Draw stage: first-attempt draws of trials [start, start + trials).
 
     Returns read-only (aods, gains) arrays of shape (trials, n_users), row t
     byte-identical to ``sample_path_params(child_rng(seed, start + t), n_users)``:
-    each trial's stream fills its uniform row and its 2 K normals in place, and
-    the angle and gain transforms then run once over the block.
+    each trial's stream fills its rows in place and ``path_params`` then runs
+    once over the block.  With ``workers > 1`` chunks of trials are drawn over
+    a process pool; the values do not depend on it.
     """
-    u = np.empty((trials, n_users))
-    z = np.empty((trials, 2, n_users))
-    for i in range(trials):
-        rng = child_rng(seed, start + i)
-        rng.random(out=u[i])
-        rng.standard_normal(out=z[i])
-    u *= TWO_PI
-    gains = (z[:, 0] + 1j * z[:, 1]) * np.sqrt(0.5)
-    u.flags.writeable = gains.flags.writeable = False
-    return u, gains
+    starts = range(start, start + trials, _CHUNK)
+    if workers > 1 and len(starts) > 1:
+        counts = [min(_CHUNK, start + trials - s) for s in starts]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_draw_chunk, repeat(seed), repeat(n_users), starts, counts))
+        u, z = (np.concatenate(p) for p in zip(*parts))
+        del parts
+    else:
+        u, z = _draw_chunk(seed, n_users, start, trials)
+    aods, gains = path_params(u, z)
+    aods.flags.writeable = gains.flags.writeable = False
+    return aods, gains
 
 
-def _gain_chunk(aods, gains, n_tx, spacing, scheme_value, seed, start):
+def _gain_chunk(aods, gains, config, scheme, seed, start):
     """Gain stage on one chunk: gains |h_k f_i|^2 of the trials drawn as
     (aods, gains), which are trials [start, start + len(aods)) of ``seed``.
 
@@ -176,8 +188,7 @@ def _gain_chunk(aods, gains, n_tx, spacing, scheme_value, seed, start):
     Returns the (count, K, K) gain block, the number of resampled draws and
     the number of trials computed by the extended-precision chain.
     """
-    config = ArrayConfig(n_tx=n_tx, spacing=spacing)
-    scheme = Scheme(scheme_value)
+    n_tx = config.n_tx
     count, n_users = aods.shape
     gram = _gram(aods, config)
     h_hat = np.sqrt(n_tx) * gains[:, :, None] * gram  # (T, K, K) equivalent channel
@@ -227,8 +238,10 @@ def _gain_chunk(aods, gains, n_tx, spacing, scheme_value, seed, start):
     return g2, n_resampled, len(flagged)
 
 
-def _check_cell(config: ArrayConfig, n_users: int, scheme: Scheme, snrs):
-    """The scheme and SNR points of one cell, as (Scheme, list of SnrPoint)."""
+def check_cell(config: ArrayConfig, n_users: int, scheme: Scheme, snrs, trials: int):
+    """Input checks of one cell; returns its (Scheme, list of SnrPoint)."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
     scheme = Scheme(scheme)
@@ -241,27 +254,38 @@ def _check_cell(config: ArrayConfig, n_users: int, scheme: Scheme, snrs):
     return scheme, snrs
 
 
-def _simulate(block, config, scheme, snrs, seed, workers):
-    """Gain stage of one cell: its estimates at every SNR point.
+def run_monte_carlo(config: ArrayConfig, n_users: int, scheme: Scheme, snrs,
+                    trials: int, seed: int, workers: int = 1,
+                    *, block=None) -> tuple[MonteCarloEstimate, ...]:
+    """Monte Carlo estimates of the expected per-stream SE over an SNR grid.
 
-    Chunks of the read-only ``block`` go through ``_gain_chunk``, over a
-    process pool when ``workers > 1``.
+    ``snrs`` is a non-empty sequence of ``SnrPoint`` or linear SNRs, each
+    finite and positive.  The trials are simulated once and every point is
+    reduced from the same gains; the result holds one ``MonteCarloEstimate``
+    per point, in the given order.  Streams of one trial are exchangeable
+    under i.i.d. user statistics, so each estimate averages over trials and
+    streams.
+
+    The trials are drawn by ``draw_block`` over ``workers`` processes, unless
+    ``block``, that call's result for this seed, user count and trial count,
+    is given to share one draw between cells; the estimates are the same.
     """
+    scheme, snrs = check_cell(config, n_users, scheme, snrs, trials)
+    if block is None:
+        block = draw_block(seed, n_users, trials, workers=workers)
     aods, gains = block
-    trials, n_users = aods.shape
-    starts = range(0, trials, _CHUNK)
-    args = [(aods[s:s + _CHUNK], gains[s:s + _CHUNK], config.n_tx, config.spacing,
-             scheme.value, seed, s) for s in starts]
+    if aods.shape != (trials, n_users):
+        raise ValueError(f"block holds {aods.shape} draws, not (trials, n_users) = "
+                         f"{(trials, n_users)}")
 
     g2 = np.empty((trials, n_users, n_users))
     n_resampled = n_fallback = 0
-    pooled = workers > 1 and len(args) > 1
-    with ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
-        chunks = (pool.map if pooled else map)(_gain_chunk, *zip(*args))
-        for start, (chunk, resampled, fallback) in zip(starts, chunks):
-            g2[start:start + chunk.shape[0]] = chunk
-            n_resampled += resampled
-            n_fallback += fallback
+    for s in range(0, trials, _CHUNK):
+        chunk, resampled, fallback = _gain_chunk(aods[s:s + _CHUNK], gains[s:s + _CHUNK],
+                                                 config, scheme, seed, s)
+        g2[s:s + chunk.shape[0]] = chunk
+        n_resampled += resampled
+        n_fallback += fallback
 
     estimates = []
     for rho in snrs:
@@ -277,37 +301,3 @@ def _simulate(block, config, scheme, snrs, seed, workers):
             per_user_mean=tuple(se.mean(axis=0)),
         ))
     return tuple(estimates)
-
-
-def simulate_cells(n_users: int, cells, trials: int, seed: int,
-                   workers: int = 1) -> list[tuple[MonteCarloEstimate, ...]]:
-    """Estimates of each (ArrayConfig, Scheme, snrs) cell of one user count.
-
-    A trial's draws do not depend on the array or the scheme, so every cell
-    is simulated from one draw block: all cells are checked, the block is
-    drawn once and each cell's gain stage reads it.  A cell's estimates are
-    those of its own ``run_monte_carlo`` call.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    checked = [(config, *_check_cell(config, n_users, scheme, snrs))
-               for config, scheme, snrs in cells]
-    block = draw_block(seed, n_users, trials)
-    return [_simulate(block, config, scheme, snrs, seed, workers)
-            for config, scheme, snrs in checked]
-
-
-def run_monte_carlo(config: ArrayConfig, n_users: int, scheme: Scheme, snrs,
-                    trials: int, seed: int,
-                    workers: int = 1) -> tuple[MonteCarloEstimate, ...]:
-    """Monte Carlo estimates of the expected per-stream SE over an SNR grid.
-
-    ``snrs`` is a non-empty sequence of ``SnrPoint`` or linear SNRs, each
-    finite and positive.  The trials are drawn and simulated once and every
-    point is reduced from the same gains; the result holds one
-    ``MonteCarloEstimate`` per point, in the given order.  Streams of one
-    trial are exchangeable under i.i.d. user statistics, so each estimate
-    averages over trials and streams.
-    """
-    (estimates,) = simulate_cells(n_users, [(config, scheme, snrs)], trials, seed, workers)
-    return estimates

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from beamsteer.arrays import ArrayConfig, steering_vector
-from beamsteer.channel import PathParams, child_rng, los_channel, sample_path_params
+from beamsteer.channel import TWO_PI, PathParams, child_rng, los_channel, sample_path_params
 
 CFG8 = ArrayConfig(8, 0.5)
 
@@ -34,6 +34,19 @@ def test_gain_components_independent_gaussian():
     assert gains.real.var() == pytest.approx(0.5, rel=0.01)
     assert gains.imag.var() == pytest.approx(0.5, rel=0.01)
     assert np.mean(gains.real * gains.imag) == pytest.approx(0.0, abs=0.005)
+
+
+@pytest.mark.parametrize("n_paths", [1, 2, 5])
+def test_draw_order_fixed(n_paths):
+    # n uniforms scaled to [0, 2 pi), then n real and n imaginary normals
+    for seed, trial in ((2026, 0), (9, 1725), (0, 10**6)):
+        aods, gains = sample_path_params(child_rng(seed, trial), n_paths)
+        rng = child_rng(seed, trial)
+        ref_aods = rng.uniform(0.0, TWO_PI, n_paths)
+        ref_gains = (rng.standard_normal(n_paths)
+                     + 1j * rng.standard_normal(n_paths)) * np.sqrt(0.5)
+        assert aods.tobytes() == ref_aods.tobytes()
+        assert gains.tobytes() == ref_gains.tobytes()
 
 
 def test_los_single_antenna():

@@ -245,16 +245,16 @@ def test_validation_equals_per_cell_calls(monkeypatch):
     # three draw blocks (K = 2, 3, 5) serve the eleven cells
     drawn, groups = [], []
 
-    def draw(seed, n_users, trials, draw_block=semetrics.draw_block):
+    def draw(seed, n_users, trials, workers, draw_block=semetrics.draw_block):
         drawn.append(n_users)
-        return draw_block(seed, n_users, trials)
+        return draw_block(seed, n_users, trials, workers=workers)
 
-    def simulate_cells(n_users, cells, trials, seed, workers, run=semetrics.simulate_cells):
+    def simulate_cells(n_users, cells, trials, seed, workers, run=experiment.simulate_cells):
         estimates = run(n_users, cells, trials, seed, workers)
         groups.append((n_users, cells, estimates))
         return estimates
 
-    monkeypatch.setattr(semetrics, "draw_block", draw)
+    monkeypatch.setattr(experiment, "draw_block", draw)
     monkeypatch.setattr(experiment, "simulate_cells", simulate_cells)
     assert len(run_validation(trials=300, seed=9)) == 16
     assert drawn == [2, 3, 5]

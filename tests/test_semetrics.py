@@ -63,8 +63,7 @@ def kernel_se(cfg, n_users, scheme, rho, seed, start, count, block=None):
     trials [start, start + count).
     """
     aods, gains = block or draw_block(seed, n_users, count, start)
-    g2, resampled, _ = _gain_chunk(aods, gains, cfg.n_tx, cfg.spacing, Scheme(scheme).value,
-                                   seed, start)
+    g2, resampled, _ = _gain_chunk(aods, gains, cfg, Scheme(scheme), seed, start)
     return se_from_gains(g2, rho), resampled
 
 
@@ -294,6 +293,23 @@ def test_draw_block_is_stacked_per_trial_draws(n_users):
         assert aods.tobytes() == np.stack(ref_aods).tobytes()
         assert gains.tobytes() == np.stack(ref_gains).tobytes()
         assert aods.shape == gains.shape == (count, n_users)
+
+
+def test_draw_block_pooled_equals_in_process():
+    count = 2 * semetrics._CHUNK + 5
+    single = draw_block(11, 4, count, 3)
+    pooled = draw_block(11, 4, count, 3, workers=2)
+    for a, b in zip(single, pooled):
+        assert a.tobytes() == b.tobytes()
+        assert not b.flags.writeable
+
+
+def test_run_monte_carlo_rejects_block_of_other_shape():
+    block = draw_block(5, 2, 10)
+    with pytest.raises(ValueError, match="block"):
+        run_monte_carlo(ArrayConfig(8), 2, Scheme.ABS, [1.0], 11, 5, block=block)
+    with pytest.raises(ValueError, match="block"):
+        run_monte_carlo(ArrayConfig(8), 3, Scheme.ABS, [1.0], 10, 5, block=block)
 
 
 def test_draw_block_is_read_only():
