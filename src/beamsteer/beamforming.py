@@ -10,8 +10,7 @@ Near-coincident user angles make the equivalent channel ill conditioned
 (cond ~ 1e8 within 10^4 K = 4 draws), and each float64 rounding inside the
 ZF chain then leaks about eps64 * cond of interference.  The chain
 therefore works in extended precision from the equivalent-channel product
-through the composite and rounds to complex128 once; the public helpers
-each do the same for their own step and return complex128.
+through the composite and rounds to complex128 once.
 """
 
 from __future__ import annotations
@@ -58,14 +57,12 @@ def _product(left, right, left_name: str, right_name: str) -> np.ndarray:
     return left.astype(_EXT) @ right.astype(_EXT)
 
 
-def equivalent_channel(h_matrix: np.ndarray, rf: np.ndarray) -> np.ndarray:
-    """Channel seen by the digital stage: row k = h_k @ F_RF (complex128)."""
-    return _product(h_matrix, rf, "H", "F_RF").astype(complex)
-
-
 def _invert(matrix: np.ndarray) -> np.ndarray:
     """Invert the K x K matrix by Gaussian elimination with partial pivoting.
 
+    With one RF chain per stream the equivalent channel is square and its ZF
+    pseudo-inverse H_hat^H (H_hat H_hat^H)^{-1} is H_hat^{-1}, computed
+    directly: forming the Gram product would square the condition number.
     K is small (<= 8 in every experiment), so the explicit inverse is fine.
     The elimination runs in ``np.clongdouble`` and the inverse is returned
     in ``np.clongdouble``, unrounded: the caller decides where the single
@@ -93,19 +90,6 @@ def _invert(matrix: np.ndarray) -> np.ndarray:
     return aug[:, k:]
 
 
-def zf_precoder(h_hat: np.ndarray) -> np.ndarray:
-    """Unnormalized zero-forcing precoder W = H_hat^H (H_hat H_hat^H)^{-1}.
-
-    For a square equivalent channel (one RF chain per stream) the
-    pseudo-inverse reduces to H_hat^{-1}, which is computed directly:
-    forming the Gram product would square the condition number and cost
-    roughly half the achievable interference-suppression digits.  The
-    inverse is computed in extended precision and rounded once to
-    complex128; an ``np.clongdouble`` input is used without rounding.
-    """
-    return _invert(h_hat).astype(complex)
-
-
 def _normalize(w: np.ndarray, rf: np.ndarray) -> np.ndarray:
     """Extended-precision W with each column scaled so F_RF w_k has unit norm."""
     composite = _product(rf, w, "F_RF", "W")
@@ -113,11 +97,6 @@ def _normalize(w: np.ndarray, rf: np.ndarray) -> np.ndarray:
     if np.any(norms == 0.0):
         raise DegeneratePrecoder("composite column is the zero vector")
     return np.asarray(w).astype(_EXT) / norms
-
-
-def vector_normalize(w: np.ndarray, rf: np.ndarray) -> np.ndarray:
-    """Scale each digital column so the composite column F_RF w_k has unit norm."""
-    return _normalize(w, rf).astype(complex)
 
 
 def hbs_beamformer_set(h_matrix: np.ndarray, angles, config: ArrayConfig) -> np.ndarray:

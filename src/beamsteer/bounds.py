@@ -90,6 +90,8 @@ def _interference_sum(n_tx: int, spacing: float) -> float:
 
     Accumulated smallest-terms-first (descending i) via exact summation.
     """
+    if not 0.0 < spacing < math.inf:
+        raise ValueError(f"spacing must be a positive real, got {spacing!r}")
     idx = np.arange(n_tx - 1, 0, -1)
     terms = 2.0 * (1.0 - idx / n_tx) * bessel_j0(2.0 * np.pi * spacing * idx) ** 2
     return math.fsum(list(np.atleast_1d(terms)) + [1.0])
@@ -104,8 +106,6 @@ def cross_correlation_expectation(n_tx: int, spacing: float) -> float:
     """
     if n_tx < 1:
         raise ValueError("n_tx must be >= 1")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
     return _interference_sum(n_tx, spacing) / n_tx
 
 

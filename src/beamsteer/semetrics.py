@@ -18,12 +18,13 @@ The gain stage is rho-free and works on K x K arrays alone.  In the pure-LoS
 model the equivalent channel of a trial is H_hat = sqrt(N) diag(g) G, where
 G = A^H A is the closed-form (Dirichlet) Gram matrix of the users' steering
 columns, so no n_tx-long vector is built: ABS gains are |H_hat|^2,
-NoInterference keeps the diagonal N |g_k|^2, and the hybrid scheme solves
-W = H_hat^{-1} in float64 for the whole chunk and normalizes column i by its
-composite power w_i^H G w_i.  A trial the batched solve cannot trust (large
-or non-finite residual, a condition bound eps64 ||H_hat||_F ||W||_F above
-1e-9, a zero composite column, or a singular batch) is recomputed from its
-own n_tx-long channel rows through the extended-precision chain
+NoInterference keeps the diagonal N |g_k|^2, and the hybrid scheme (ZF on
+H_hat, then vector normalization) gives stream k the gain
+N |g_k|^2 / (G^{-1})_kk and no leakage, from one float64 inverse of G for the
+whole chunk.  A trial that inverse cannot be trusted for (a condition bound
+eps64 ||G||_F ||G^{-1}||_F above 5e-10, a non-positive or non-finite
+diagonal entry, or a singular batch) is recomputed from its own n_tx-long
+channel rows through the extended-precision chain
 ``hbs_beamformer_set``, and a draw that chain finds singular is redrawn from
 the trial's next resample stream.  The redraw stays local to the cell: the
 shared block is never written.  ``MonteCarloEstimate.n_fallback`` counts those
@@ -50,12 +51,11 @@ from .beamforming import DegeneratePrecoder, SingularEquivalentChannel, hbs_beam
 from .channel import child_rng, fill_path_draws, path_params, sample_path_params
 
 _CHUNK = 2048
-# Batched-solve residual above which a trial is recomputed through the
-# extended-precision chain (which applies the pivot threshold contract).
-_RESIDUAL_TOL = 1e-6
-# Bound on eps64 * cond(H_hat), the float64 solve's forward error, above
-# which a trial is recomputed through the extended-precision chain.
-_FORWARD_TOL = 1e-9
+# Bound on eps64 * cond(G), the scale of the float64 Gram inverse's forward
+# error, above which a trial is recomputed through the extended-precision
+# chain (which applies the pivot threshold contract).  At 1e-9, two trials
+# of 32x5 at seed 2026 (cond 3.2e6 and 3.9e6) are off by 1.9e-9 in SE.
+_FORWARD_TOL = 5e-10
 _EPS64 = np.finfo(np.float64).eps
 # Draws tried per trial (the first plus resamples) before giving up.
 _MAX_ATTEMPTS = 1000
@@ -184,7 +184,8 @@ def _gain_chunk(aods, gains, config, scheme, seed, start):
     (aods, gains), which are trials [start, start + len(aods)) of ``seed``.
 
     Works on K x K arrays only: with the Gram matrix G of the steering
-    columns, the equivalent channel is H_hat = h A = sqrt(N) diag(g) G.
+    columns, the equivalent channel is H_hat = h A = sqrt(N) diag(g) G, and
+    the HBS gains come from the float64 inverse of G.
     Returns the (count, K, K) gain block, the number of resampled draws and
     the number of trials computed by the extended-precision chain.
     """
@@ -197,24 +198,21 @@ def _gain_chunk(aods, gains, config, scheme, seed, start):
     if scheme is Scheme.NO_INTERFERENCE:
         g2 *= np.eye(n_users)
     elif scheme is Scheme.HBS:
-        eye = np.broadcast_to(np.eye(n_users), (count, n_users, n_users))
+        eye = np.eye(n_users)
         try:
-            w = np.linalg.solve(h_hat, eye.copy())
+            inv = np.linalg.solve(gram, eye)
         except np.linalg.LinAlgError:
             flagged = range(count)
         else:
-            zf = h_hat @ w
-            residual = np.abs(zf - eye).max(axis=(1, 2))
-            # ||H_hat||_F ||W||_F >= cond_2(H_hat), and eps64 * cond_2 is the
-            # scale of the float64 solve's forward error, which the residual
-            # does not show.
-            cond = np.linalg.norm(h_hat, axis=(1, 2)) * np.linalg.norm(w, axis=(1, 2))
-            # ||A w_i||^2 = w_i^H G w_i is the power of composite column i.
-            power = np.einsum("tki,tkl,tli->ti", w.conj(), gram, w).real
-            good = ((residual <= _RESIDUAL_TOL) & (_EPS64 * cond <= _FORWARD_TOL)
-                    & (power > 0.0).all(axis=1))
+            # ZF with vector normalization leaves stream k the gain
+            # N |g_k|^2 / (G^-1)_kk and no leakage: G w_i = e_i / (sqrt(N) g_i).
+            # ||G||_F ||G^-1||_F >= cond_2(G), and eps64 * cond_2 is the scale
+            # of the float64 solve's forward error.  A non-finite inverse fails it.
+            inv_diag = np.einsum("tkk->tk", inv).real
+            cond = np.linalg.norm(gram, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
+            good = (_EPS64 * cond <= _FORWARD_TOL) & (inv_diag > 0.0).all(axis=1)
             with np.errstate(invalid="ignore", divide="ignore"):
-                g2 = np.abs(zf) ** 2 / power[:, None, :]
+                g2 = (n_tx * np.abs(gains) ** 2 / inv_diag)[:, :, None] * eye
             flagged = np.nonzero(~good)[0]
 
     n_resampled = 0

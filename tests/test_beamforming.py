@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from beamsteer.arrays import ArrayConfig, steering_vector
-from beamsteer.beamforming import (DegeneratePrecoder, SingularEquivalentChannel,
-                                   build_rf_matrix, equivalent_channel,
-                                   hbs_beamformer_set, vector_normalize, zf_precoder)
+from beamsteer.beamforming import (DegeneratePrecoder, SingularEquivalentChannel, _invert,
+                                   _normalize, _product, build_rf_matrix, hbs_beamformer_set)
 from beamsteer.channel import PathParams, child_rng, los_channel, sample_path_params
 
 
@@ -42,7 +41,7 @@ def test_equivalent_channel_matched_single_user():
     cfg = ArrayConfig(16, 0.5)
     alpha = 0.7 - 0.3j
     h = los_channel(PathParams(alpha, 1.4), cfg)[None, :]
-    h_hat = equivalent_channel(h, build_rf_matrix([1.4], cfg))
+    h_hat = _product(h, build_rf_matrix([1.4], cfg), "H", "F_RF").astype(complex)
     assert h_hat[0, 0] == pytest.approx(np.sqrt(16) * alpha, abs=1e-12)
 
 
@@ -50,7 +49,7 @@ def test_equivalent_channel_matches_dense_product():
     rng = np.random.default_rng(11)
     cfg, angles, _, h = random_los_setup(rng, 16, 3)
     rf = build_rf_matrix(angles, cfg)
-    h_hat = equivalent_channel(h, rf)
+    h_hat = _product(h, rf, "H", "F_RF").astype(complex)
     expected = np.array([[sum(h[k, m] * rf[m, i] for m in range(16))
                           for i in range(3)] for k in range(3)])
     assert np.allclose(h_hat, expected, atol=1e-12)
@@ -58,30 +57,30 @@ def test_equivalent_channel_matches_dense_product():
 
 def test_equivalent_channel_dimension_mismatch():
     with pytest.raises(ValueError):
-        equivalent_channel(np.ones((2, 4)), np.ones((5, 2)))
+        _product(np.ones((2, 4)), np.ones((5, 2)), "H", "F_RF")
 
 
 def test_zf_scalar():
-    assert np.allclose(zf_precoder(np.array([[2.0]])), [[0.5]])
+    assert np.allclose(_invert(np.array([[2.0]])).astype(complex), [[0.5]])
 
 
 def test_zf_diagonal():
     d = np.diag([2.0, 1j, -0.5 + 0.5j])
-    assert np.allclose(zf_precoder(d), np.diag(1 / np.diag(d)), atol=1e-12)
+    assert np.allclose(_invert(d).astype(complex), np.diag(1 / np.diag(d)), atol=1e-12)
 
 
 def test_zf_residual_random():
     rng = np.random.default_rng(12)
     h_hat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    w = zf_precoder(h_hat)
+    w = _invert(h_hat).astype(complex)
     assert np.abs(h_hat @ w - np.eye(4)).max() < 1e-10
 
 
 def test_zf_scale_equivariance():
     rng = np.random.default_rng(13)
     h_hat = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    w = zf_precoder(h_hat)
-    w_scaled = zf_precoder(5.0 * h_hat)
+    w = _invert(h_hat).astype(complex)
+    w_scaled = _invert(5.0 * h_hat).astype(complex)
     assert np.allclose(w_scaled, w / 5.0, atol=1e-12)
 
 
@@ -91,21 +90,22 @@ def test_zf_singular_on_coincident_angles():
     _, _, gains, _ = random_los_setup(rng, 8, 2)
     angles = np.array([0.3, 0.3])
     h = np.stack([los_channel(PathParams(g, a), cfg) for g, a in zip(gains, angles)])
-    h_hat = equivalent_channel(h, build_rf_matrix(angles, cfg))
+    h_hat = _product(h, build_rf_matrix(angles, cfg), "H", "F_RF").astype(complex)
     with pytest.raises(SingularEquivalentChannel):
-        zf_precoder(h_hat)
+        _invert(h_hat)
 
 
 def test_zf_non_square_rejected():
     with pytest.raises(ValueError):
-        zf_precoder(np.ones((2, 3)))
+        _invert(np.ones((2, 3)))
 
 
 def test_vector_normalize_unit_composite_columns():
     rng = np.random.default_rng(15)
     cfg, angles, _, h = random_los_setup(rng, 32, 3)
     rf = build_rf_matrix(angles, cfg)
-    w = vector_normalize(zf_precoder(equivalent_channel(h, rf)), rf)
+    h_hat = _product(h, rf, "H", "F_RF").astype(complex)
+    w = _normalize(_invert(h_hat).astype(complex), rf).astype(complex)
     assert np.allclose(np.linalg.norm(rf @ w, axis=0), 1.0, atol=1e-10)
 
 
@@ -116,8 +116,8 @@ def test_vector_normalize_scale_invariance():
     w = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     scaled = w.copy()
     scaled[:, 0] *= 10.0
-    assert np.allclose(vector_normalize(w, rf)[:, 0],
-                       vector_normalize(scaled, rf)[:, 0], atol=1e-12)
+    assert np.allclose(_normalize(w, rf).astype(complex)[:, 0],
+                       _normalize(scaled, rf).astype(complex)[:, 0], atol=1e-12)
 
 
 def test_vector_normalize_zero_column_rejected():
@@ -125,7 +125,7 @@ def test_vector_normalize_zero_column_rejected():
     rf = build_rf_matrix([0.1, 0.9], cfg)
     w = np.array([[1.0, 0.0], [0.5j, 0.0]])
     with pytest.raises(DegeneratePrecoder):
-        vector_normalize(w, rf)
+        _normalize(w, rf)
 
 
 def test_hbs_single_user_end_to_end():
@@ -167,8 +167,8 @@ def test_hbs_invariant_to_equivalent_channel_scaling():
     rng = np.random.default_rng(18)
     cfg, angles, _, h = random_los_setup(rng, 16, 3)
     rf = build_rf_matrix(angles, cfg)
-    h_hat = equivalent_channel(h, rf)
-    w1 = vector_normalize(zf_precoder(h_hat), rf)
-    w2 = vector_normalize(zf_precoder(3.0 * h_hat), rf)
+    h_hat = _product(h, rf, "H", "F_RF").astype(complex)
+    w1 = _normalize(_invert(h_hat).astype(complex), rf).astype(complex)
+    w2 = _normalize(_invert(3.0 * h_hat).astype(complex), rf).astype(complex)
     assert np.allclose(w1, w2, atol=1e-10)
 

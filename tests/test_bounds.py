@@ -96,6 +96,14 @@ def test_cross_correlation_invalid():
         cross_correlation_expectation(4, -0.5)
 
 
+@pytest.mark.parametrize("spacing", [float("nan"), float("inf"), 0.0, -1.0])
+def test_spacing_must_be_positive_and_finite(spacing):
+    with pytest.raises(ValueError, match="spacing"):
+        cross_correlation_expectation(4, spacing)
+    with pytest.raises(ValueError, match="spacing"):
+        abs_saturation_bound(4, spacing, 2)
+
+
 def test_saturation_bound_single_antenna():
     b = abs_saturation_bound(1, 0.5, 2)
     assert b.value == pytest.approx(1.0)

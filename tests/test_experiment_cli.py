@@ -224,6 +224,14 @@ def test_bounds_non_positive_nbeams_exit_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spacing", ["nan", "inf", "0", "-1"])
+def test_bounds_bad_spacing_exit_one(tmp_path, capsys, spacing):
+    out = tmp_path / "b.csv"
+    assert main(["bounds", "--spacing", spacing, "--out", str(out)]) == 1
+    assert "spacing" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_equals_per_cell_calls(workers):
     # the sweep draws one block for all cells; 32x5 at seed 2026 with two
