@@ -4,13 +4,25 @@ Each user's channel is a single plane wave: departure angle uniform on
 [0, 2*pi) and a circularly-symmetric complex Gaussian gain with unit second
 moment (E|alpha|^2 = 1), so E||h||^2 = n_tx.
 
-Reproducibility: trial t of a Monte Carlo run draws from a child stream
-derived deterministically from (master seed, t), so trials can run in any
-order or across workers with identical results.
+Stream layout.  A trial of K users uses exactly 3K uniforms u on [0, 1):
+K angles aod = 2 pi u, then K radii u_r and K phases u_phi, which give the
+gain sqrt(-log(1 - u_r)) exp(j 2 pi u_phi) ~ CN(0, 1) (Box-Muller, so the
+count of uniforms is fixed).  They come from the counter-based generator
+Philox4x64 (Salmon et al., SC'11) with the key seed + (attempt << 64): the
+master seed, in [0, 2**64), is the low key word and the resample attempt the
+high one.  A counter step yields 4 uniforms, so trial t owns the steps
+[t m, (t + 1) m) with m = ceil(3K / 4), and the last 4m - 3K uniforms of a
+trial go unused.  A redraw (attempt >= 1) reads the same counters under its
+own key, never another trial's.
+
+Reproducibility: trial t's draws depend only on (seed, K, t, attempt), so a
+chunk of trials is one generator call, and trials can run in any order,
+chunking or across workers with identical results.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,38 +40,41 @@ class PathParams:
     aod: float
 
 
-def child_rng(master_seed: int, trial: int, attempt: int = 0) -> np.random.Generator:
-    """Independent substream for one trial (and resample attempt)."""
-    key = (trial,) if attempt == 0 else (trial, attempt)
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=key)
-    return np.random.Generator(np.random.PCG64(ss))
+def _counter_steps(n_paths: int) -> int:
+    """Philox4x64 counter steps of one trial: ceil(3 n_paths / 4)."""
+    return -(-3 * n_paths // 4)
 
 
-def fill_path_draws(rng: np.random.Generator, u: np.ndarray, z: np.ndarray) -> None:
-    """Fill one draw's variates in place, in the fixed draw order: n uniforms
-    into ``u`` of shape (n,), then 2n standard normals into ``z`` of shape
-    (2, n).  ``path_params`` turns them into (aods, gains)."""
-    rng.random(out=u)
-    rng.standard_normal(out=z)
+def child_rng(seed: int, n_paths: int, trial: int, attempt: int = 0) -> np.random.Generator:
+    """Stream positioned at the first draw of ``trial`` (of ``n_paths`` users)
+    and resample ``attempt``; it runs on into the trials that follow.
 
-
-def path_params(u: np.ndarray, z: np.ndarray):
-    """(aods, gains) from the variates of one draw or of a stack of draws,
-    ``u`` (..., n) and ``z`` (..., 2, n): aod = 2 pi u ~ U[0, 2 pi) and
-    gain = (z_0 + j z_1) / sqrt(2) ~ CN(0, 1)."""
-    return TWO_PI * u, (z[..., 0, :] + 1j * z[..., 1, :]) * np.sqrt(0.5)
-
-
-def sample_path_params(rng: np.random.Generator, n_paths: int):
-    """Draw n_paths (aod, gain) pairs from ``rng``.
-
-    Returns (aods, gains) arrays: aod ~ U[0, 2*pi), gain ~ CN(0, 1).  Every
-    consumer draws through ``fill_path_draws`` and ``path_params`` (the batched
-    ``semetrics.draw_block`` too), so the draw order is fixed in one place.
+    Every draw gets its stream here, so this is where the seed is checked:
+    it must fit the 64-bit key word, [0, 2**64).
     """
-    u, z = np.empty(n_paths), np.empty((2, n_paths))
-    fill_path_draws(rng, u, z)
-    return path_params(u, z)
+    seed = operator.index(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    bits = np.random.Philox(key=seed + (attempt << 64),
+                            counter=trial * _counter_steps(n_paths))
+    return np.random.Generator(bits)
+
+
+def sample_path_params(rng: np.random.Generator, n_paths: int, count: int | None = None):
+    """Draw one trial's n_paths (aod, gain) pairs from ``rng``, or with
+    ``count`` the next ``count`` trials, stacked.
+
+    Returns (aods, gains) of shape (n_paths,), or (count, n_paths): aod ~
+    U[0, 2*pi), gain ~ CN(0, 1).  Each trial reads 4 ceil(3 n_paths / 4)
+    uniforms in the layout above; every consumer (the batched
+    ``semetrics.draw_block`` too) draws here, so the draw order is fixed in
+    one place.
+    """
+    u = rng.random((1 if count is None else count, 4 * _counter_steps(n_paths)))
+    aods = TWO_PI * u[:, :n_paths]
+    radii = np.sqrt(-np.log1p(-u[:, n_paths:2 * n_paths]))
+    gains = radii * np.exp(1j * TWO_PI * u[:, 2 * n_paths:3 * n_paths])
+    return (aods[0], gains[0]) if count is None else (aods, gains)
 
 
 def los_channel(path: PathParams, config: ArrayConfig) -> np.ndarray:

@@ -14,6 +14,7 @@ import argparse
 import math
 import sys
 
+from .arrays import ArrayConfig
 from .experiment import (DEFAULT_SEED, DEFAULT_SNR_GRID, DEFAULT_TRIALS,
                          ExperimentConfig, bound_rows, format_validation_report,
                          run_figure, run_sweep, run_validation, rows_to_csv,
@@ -202,7 +203,8 @@ def _run_bounds(args) -> int:
     spacing = args.spacing if args.spacing is not None else 0.5
     rows = []
     for n_tx in n_tx_list:
-        rows.extend(bound_rows(n_tx, n_beams, spacing, grid))
+        config = ArrayConfig(n_tx, spacing)  # the array checks sweep applies
+        rows.extend(bound_rows(config.n_tx, n_beams, config.spacing, grid))
     _emit(rows, args.out)
     return 0
 

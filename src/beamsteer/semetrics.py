@@ -8,8 +8,11 @@ both the signal and the interference terms.
 A run has two stages.  The draw stage, ``draw_block``, gives the first-attempt
 (aods, gains) of every trial as one read-only block, over a process pool
 when asked for.  A trial's draws depend only on (seed, trial, K), never on
-n_tx or the scheme, so one block serves every cell of a run: ``experiment``
-draws it once per (seed, K) and hands it to each (n_tx, scheme) cell's
+n_tx or the scheme: trial t owns a fixed stretch of counters of the Philox
+stream keyed by the seed (the layout is in ``channel``), so a chunk of trials
+[s, s + count) is one ``sample_path_params(child_rng(seed, K, s), K, count)``
+call.  One block serves every cell of a run: ``experiment`` draws it once
+per (seed, K) and hands it to each (n_tx, scheme) cell's
 ``run_monte_carlo``.  The gain stage turns a block into the gains
 |h_k f_i|^2 of one cell, chunk by chunk in the calling process, and reduces
 them at every SNR point.
@@ -23,15 +26,17 @@ H_hat, then vector normalization) gives stream k the gain
 N |g_k|^2 / (G^{-1})_kk and no leakage, from one float64 inverse of G for the
 whole chunk.  A trial that inverse cannot be trusted for (a condition bound
 eps64 ||G||_F ||G^{-1}||_F above 5e-10, a non-positive or non-finite
-diagonal entry, or a singular batch) is recomputed from its own n_tx-long
-channel rows through the extended-precision chain
-``hbs_beamformer_set``, and a draw that chain finds singular is redrawn from
-the trial's next resample stream.  The redraw stays local to the cell: the
-shared block is never written.  ``MonteCarloEstimate.n_fallback`` counts those
-trials.  SNR enters only in the SE reduction ``se_from_gains``, so one
-simulation serves a whole SNR grid.
+diagonal entry, or an exactly singular G, which stops the batched solve, so
+that chunk is solved trial by trial) is recomputed from its own n_tx-long
+channel rows through the extended-precision chain ``hbs_beamformer_set``,
+and a draw that chain finds singular is redrawn from the trial's next
+resample stream: the same counters under the key word of attempt 1, 2, ...
+The redraw stays local to the cell: the shared block is never written.
+``MonteCarloEstimate.n_fallback`` counts those trials.  SNR enters only in
+the SE reduction ``se_from_gains``, so one simulation serves a whole SNR
+grid.
 
-Per-trial results come from independent child streams and are written into
+Per-trial results come from each trial's own counters and are written into
 a (trials, K, K) gain array that is reduced in a fixed order, so the estimate
 is bit-identical regardless of worker count, chunk size, execution order or
 whether the block was shared.
@@ -48,7 +53,7 @@ import numpy as np
 
 from .arrays import ArrayConfig, phase_progression, steering_vector
 from .beamforming import DegeneratePrecoder, SingularEquivalentChannel, hbs_beamformer_set
-from .channel import child_rng, fill_path_draws, path_params, sample_path_params
+from .channel import child_rng, sample_path_params
 
 _CHUNK = 2048
 # Bound on eps64 * cond(G), the scale of the float64 Gram inverse's forward
@@ -148,33 +153,27 @@ def _gram(aods, config):
 
 
 def _draw_chunk(seed, n_users, start, count):
-    """Variates (u, z) of trials [start, start + count), one child stream each."""
-    u = np.empty((count, n_users))
-    z = np.empty((count, 2, n_users))
-    for i in range(count):
-        fill_path_draws(child_rng(seed, start + i), u[i], z[i])
-    return u, z
+    """(aods, gains) of trials [start, start + count), from one generator call."""
+    return sample_path_params(child_rng(seed, n_users, start), n_users, count)
 
 
 def draw_block(seed: int, n_users: int, trials: int, start: int = 0, workers: int = 1):
     """Draw stage: first-attempt draws of trials [start, start + trials).
 
     Returns read-only (aods, gains) arrays of shape (trials, n_users), row t
-    byte-identical to ``sample_path_params(child_rng(seed, start + t), n_users)``:
-    each trial's stream fills its rows in place and ``path_params`` then runs
-    once over the block.  With ``workers > 1`` chunks of trials are drawn over
-    a process pool; the values do not depend on it.
+    byte-identical to ``sample_path_params(child_rng(seed, n_users, start + t),
+    n_users)``.  With ``workers > 1`` chunks of trials are drawn over a
+    process pool; the values do not depend on it.
     """
     starts = range(start, start + trials, _CHUNK)
     if workers > 1 and len(starts) > 1:
         counts = [min(_CHUNK, start + trials - s) for s in starts]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_draw_chunk, repeat(seed), repeat(n_users), starts, counts))
-        u, z = (np.concatenate(p) for p in zip(*parts))
+        aods, gains = (np.concatenate(p) for p in zip(*parts))
         del parts
     else:
-        u, z = _draw_chunk(seed, n_users, start, trials)
-    aods, gains = path_params(u, z)
+        aods, gains = _draw_chunk(seed, n_users, start, trials)
     aods.flags.writeable = gains.flags.writeable = False
     return aods, gains
 
@@ -202,18 +201,24 @@ def _gain_chunk(aods, gains, config, scheme, seed, start):
         try:
             inv = np.linalg.solve(gram, eye)
         except np.linalg.LinAlgError:
-            flagged = range(count)
-        else:
-            # ZF with vector normalization leaves stream k the gain
-            # N |g_k|^2 / (G^-1)_kk and no leakage: G w_i = e_i / (sqrt(N) g_i).
-            # ||G||_F ||G^-1||_F >= cond_2(G), and eps64 * cond_2 is the scale
-            # of the float64 solve's forward error.  A non-finite inverse fails it.
-            inv_diag = np.einsum("tkk->tk", inv).real
-            cond = np.linalg.norm(gram, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
-            good = (_EPS64 * cond <= _FORWARD_TOL) & (inv_diag > 0.0).all(axis=1)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                g2 = (n_tx * np.abs(gains) ** 2 / inv_diag)[:, :, None] * eye
-            flagged = np.nonzero(~good)[0]
+            # an exactly singular G stops the batch; solve trial by trial and
+            # leave the singular trials' inverses NaN, which flags only them
+            inv = np.full_like(gram, np.nan)
+            for t in range(count):
+                try:
+                    inv[t] = np.linalg.solve(gram[t], eye)
+                except np.linalg.LinAlgError:
+                    pass
+        # ZF with vector normalization leaves stream k the gain
+        # N |g_k|^2 / (G^-1)_kk and no leakage: G w_i = e_i / (sqrt(N) g_i).
+        # ||G||_F ||G^-1||_F >= cond_2(G), and eps64 * cond_2 is the scale
+        # of the float64 solve's forward error.  A non-finite inverse fails it.
+        inv_diag = np.einsum("tkk->tk", inv).real
+        cond = np.linalg.norm(gram, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
+        good = (_EPS64 * cond <= _FORWARD_TOL) & (inv_diag > 0.0).all(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            g2 = (n_tx * np.abs(gains) ** 2 / inv_diag)[:, :, None] * eye
+        flagged = np.nonzero(~good)[0]
 
     n_resampled = 0
     for i in flagged:
@@ -222,7 +227,7 @@ def _gain_chunk(aods, gains, config, scheme, seed, start):
         for attempt in range(_MAX_ATTEMPTS):
             if attempt:
                 trial_aods, trial_gains = sample_path_params(
-                    child_rng(seed, start + i, attempt), n_users)
+                    child_rng(seed, n_users, start + i, attempt), n_users)
             h = _los(trial_aods, trial_gains, config)
             try:
                 f = hbs_beamformer_set(h, trial_aods, config)

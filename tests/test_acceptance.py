@@ -111,7 +111,7 @@ def test_criterion_6_zf_exactness():
     worst_power = 0.0
     singular = 0
     for t in range(n_draws):
-        rng = child_rng(SEED + 1, t)
+        rng = child_rng(SEED + 1, 4, t)
         angles, gains = sample_path_params(rng, 4)
         h = np.stack([los_channel(PathParams(g, a), cfg)
                       for g, a in zip(gains, angles)])

@@ -38,13 +38,18 @@ def test_gain_components_independent_gaussian():
 
 @pytest.mark.parametrize("n_paths", [1, 2, 5])
 def test_draw_order_fixed(n_paths):
-    # n uniforms scaled to [0, 2 pi), then n real and n imaginary normals
-    for seed, trial in ((2026, 0), (9, 1725), (0, 10**6)):
-        aods, gains = sample_path_params(child_rng(seed, trial), n_paths)
-        rng = child_rng(seed, trial)
-        ref_aods = rng.uniform(0.0, TWO_PI, n_paths)
-        ref_gains = (rng.standard_normal(n_paths)
-                     + 1j * rng.standard_normal(n_paths)) * np.sqrt(0.5)
+    # Trial t of K users reads the Philox4x64 counter steps [t m, (t + 1) m),
+    # m = ceil(3K / 4), under the key seed + (attempt << 64); a raw word w is
+    # the uniform (w >> 11) 2^-53.  Its first K uniforms are the angles, the
+    # next K the radii and the next K the phases of the gains (Box-Muller).
+    steps = -(-3 * n_paths // 4)
+    for seed, trial, attempt in ((2026, 0, 0), (9, 1725, 0), (0, 4099, 3), (2**64 - 1, 7, 1)):
+        aods, gains = sample_path_params(child_rng(seed, n_paths, trial, attempt), n_paths)
+        raw = np.random.Philox(key=seed + attempt * 2**64).random_raw(4 * steps * (trial + 1))
+        u = (raw[-4 * steps:] >> np.uint64(11)) * 2.0**-53
+        ref_aods = TWO_PI * u[:n_paths]
+        ref_gains = (np.sqrt(-np.log1p(-u[n_paths:2 * n_paths]))
+                     * np.exp(1j * TWO_PI * u[2 * n_paths:3 * n_paths]))
         assert aods.tobytes() == ref_aods.tobytes()
         assert gains.tobytes() == ref_gains.tobytes()
 
@@ -96,10 +101,18 @@ def test_rank_one_structure_pure_los():
 
 
 def test_child_rng_substreams():
-    r1 = child_rng(100, 5).uniform(size=4)
-    r2 = child_rng(100, 5).uniform(size=4)
-    r3 = child_rng(100, 6).uniform(size=4)
-    r4 = child_rng(100, 5, attempt=1).uniform(size=4)
+    r1 = child_rng(100, 2, 5).uniform(size=4)
+    r2 = child_rng(100, 2, 5).uniform(size=4)
+    r3 = child_rng(100, 2, 6).uniform(size=4)
+    r4 = child_rng(100, 2, 5, attempt=1).uniform(size=4)
     assert np.array_equal(r1, r2)
     assert not np.array_equal(r1, r3)
     assert not np.array_equal(r1, r4)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**128 + 1])
+def test_seed_outside_key_word_rejected(seed):
+    # a seed of 2**64 or more would run into the attempt's key word
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        child_rng(seed, 2, 0)
+    child_rng(2**64 - 1, 2, 0, attempt=999)

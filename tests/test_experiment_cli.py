@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import beamsteer
 from beamsteer import cli, experiment, semetrics
 from beamsteer.arrays import ArrayConfig
 from beamsteer.cli import (SNR_GRID_MAX, UsageError, load_config_file, main, parse_int_list,
@@ -229,21 +235,34 @@ def test_bounds_bad_spacing_exit_one(tmp_path, capsys, spacing):
     out = tmp_path / "b.csv"
     assert main(["bounds", "--spacing", spacing, "--out", str(out)]) == 1
     assert "spacing" in capsys.readouterr().err
+    # one beam evaluates no saturation bound, and the spacing is still checked
+    assert main(["bounds", "--nbeams", "1", "--spacing", spacing, "--out", str(out)]) == 1
+    assert "spacing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128 + 1)])
+@pytest.mark.parametrize("command", ["sweep", "validate"])
+def test_seed_out_of_range_exit_one(tmp_path, capsys, command, seed):
+    out = tmp_path / "s.csv"
+    argv = [command, "--trials", "10", "--seed", seed]
+    assert main(argv + (["--out", str(out)] if command == "sweep" else [])) == 1
+    assert "seed must be in [0, 2**64)" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_equals_per_cell_calls(workers):
-    # the sweep draws one block for all cells; 32x5 at seed 2026 with two
-    # chunks includes trial 1725, which only the HBS cell redraws
+    # the sweep draws one block for all cells; 32x5 at seed 2026 over 40000
+    # trials includes trial 39902, which only the HBS cell redraws
     grid = (-10.0, 30.0)
-    cfg = ExperimentConfig(n_tx_list=(32,), n_beams=5, snr_db_grid=grid, trials=2500,
+    cfg = ExperimentConfig(n_tx_list=(32,), n_beams=5, snr_db_grid=grid, trials=40000,
                            seed=2026, schemes=tuple(Scheme), bounds=False)
     rows = run_sweep(cfg, workers=workers)
     expected = []
     for scheme in Scheme:
         estimates = run_monte_carlo(ArrayConfig(32, 0.5), 5, scheme,
-                                    [SnrPoint.from_db(x) for x in grid], 2500, 2026)
+                                    [SnrPoint.from_db(x) for x in grid], 40000, 2026)
         expected += [(scheme.value, e.mean, e.std_error, e.n_resampled) for e in estimates]
     assert [(r.label, r.se_mean, r.se_stderr, r.n_resampled) for r in rows] == expected
     assert [r.n_resampled for r in rows] == [0, 0, 1, 1, 0, 0]
@@ -270,3 +289,13 @@ def test_validation_equals_per_cell_calls(monkeypatch):
     for n_users, cells, estimates in groups:
         for (array, scheme, snrs), cell in zip(cells, estimates):
             assert cell == run_monte_carlo(array, n_users, scheme, snrs, 300, 9)
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random (and the hashlib/OpenSSL it pulls in) loads only where a
+    # draw runs: a process that never draws, such as the parent of a pooled
+    # run, does not pay for it
+    src = str(Path(beamsteer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, beamsteer.cli; sys.exit('numpy.random' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import exp1
 
 from beamsteer import semetrics
 from beamsteer.arrays import ArrayConfig, phase_progression, steering_vector
 from beamsteer.beamforming import (DegeneratePrecoder, SingularEquivalentChannel,
                                    build_rf_matrix, hbs_beamformer_set)
+from beamsteer.bounds import cross_correlation_expectation
 from beamsteer.channel import PathParams, child_rng, los_channel, sample_path_params
 from beamsteer.semetrics import (MonteCarloEstimate, Scheme, SnrPoint, _gain_chunk, _gram,
                                  draw_block, run_monte_carlo, se_from_gains)
@@ -25,7 +27,7 @@ def dense_trial_se(cfg, n_users, scheme, rho, seed, trial):
     Returns (per-stream SE, number of redraws).
     """
     for attempt in range(1000):
-        aods, gains = sample_path_params(child_rng(seed, trial, attempt), n_users)
+        aods, gains = sample_path_params(child_rng(seed, n_users, trial, attempt), n_users)
         h = np.stack([los_channel(PathParams(g, a), cfg) for g, a in zip(gains, aods)])
         f = steering_vector(aods, cfg)
         if scheme is Scheme.HBS:
@@ -157,9 +159,34 @@ def test_no_interference_single_antenna_vs_quadrature():
     assert abs(est.mean - expected) < 4 * est.std_error
 
 
+@pytest.mark.parametrize("n_users", [2, 5])
+@pytest.mark.parametrize("n_tx", [32, 128])
+def test_no_interference_matches_exact_rayleigh_mean(n_tx, n_users):
+    # SINR_k = a x_k with a = rho N and x_k = |g_k|^2 ~ Exp(1), and
+    # E ln(1 + a x) = e^{1/a} E1(1/a) (Alouini & Goldsmith 1999)
+    snrs = [SnrPoint.from_db(0.0), SnrPoint.from_db(30.0)]
+    estimates = run_monte_carlo(ArrayConfig(n_tx), n_users, Scheme.NO_INTERFERENCE, snrs,
+                                20000, 2026)
+    for snr, est in zip(snrs, estimates):
+        a = snr.rho_linear * n_tx
+        exact = np.exp(1 / a) * exp1(1 / a) / np.log(2)
+        assert abs(est.mean - exact) <= 4 * est.std_error
+
+
+def test_block_cross_correlation_matches_closed_form():
+    # the mean |G_12|^2 of the draw stage's angles is E|a(phi1)^H a(phi2)|^2
+    aods, _ = draw_block(2026, 2, 50000)
+    for n_tx in (16, 32, 128):
+        c = np.abs(_gram(aods, ArrayConfig(n_tx))[:, 0, 1]) ** 2
+        expected = cross_correlation_expectation(n_tx, 0.5)
+        assert abs(c.mean() - expected) <= 4 * c.std(ddof=1) / np.sqrt(c.size)
+
+
 def test_batch_path_matches_module_operations():
     # 32x5 HBS at seed 2026 sends trials to the extended-precision chain, and
-    # the first draw of trial 1725 is singular, so it is redrawn once.
+    # the first draw of trial 39902 is singular, so it is redrawn once.  The
+    # first chunk is checked through run_monte_carlo, the chunk that holds
+    # trial 39902 through the gain stage.
     cfg = ArrayConfig(32, 0.5)
     rho = 316.0
     trials = 2048
@@ -170,11 +197,14 @@ def test_batch_path_matches_module_operations():
         assert np.all(np.abs(block - ref).max(axis=1) <= tol)
         assert est.mean == pytest.approx(ref.mean(), abs=1e-8)
         assert est.per_user_mean == pytest.approx(tuple(ref.mean(axis=0)), abs=1e-8)
-        if scheme is Scheme.HBS:
-            assert est.n_resampled == 1
-            assert [t for t, a in enumerate(attempts) if a] == [1725]
-        else:
-            assert est.n_resampled == 0
+        assert est.n_resampled == 0
+        assert est.n_fallback > 0 if scheme is Scheme.HBS else est.n_fallback == 0
+    start = 39902 // semetrics._CHUNK * semetrics._CHUNK
+    block, resampled = kernel_se(cfg, 5, Scheme.HBS, rho, 2026, start, semetrics._CHUNK)
+    ref, attempts, tol = dense_se(cfg, 5, Scheme.HBS, rho, 2026, start, semetrics._CHUNK)
+    assert np.all(np.abs(block - ref).max(axis=1) <= tol)
+    assert resampled == 1
+    assert [start + t for t, a in enumerate(attempts) if a] == [39902]
 
 
 def gram_angles(spacing):
@@ -236,7 +266,7 @@ def test_large_array_kernel_matches_dense_reference():
     free_se, free_resampled = kernel_se(cfg, 5, Scheme.NO_INTERFERENCE, 316.0, 2026, 0, 64)
     assert abs_resampled == free_resampled == 0
     for t in range(64):
-        g2 = extended_dense_gains(cfg, *sample_path_params(child_rng(2026, t), 5))
+        g2 = extended_dense_gains(cfg, *sample_path_params(child_rng(2026, 5, t), 5))
         assert np.abs(abs_se[t] - se_from_gains(g2, 316.0)).max() <= 1e-9
         assert np.abs(free_se[t] - se_from_gains(g2 * np.eye(5), 316.0)).max() <= 1e-9
 
@@ -275,9 +305,9 @@ def test_hbs_kernel_matches_extended_gram_reference():
     # within 1e-9 of log2(1 + rho N |g_k|^2 / (G^{-1})_kk) from a long-double
     # Gram inverse.  Declared exceptions: the trials with cond(G) > 1e10,
     # where eps_ld * cond leaves the reference itself near 1e-9.  Among them
-    # are trial 1725, whose first draw is singular and is redrawn, and trials
-    # 6015, 8990 and 17489, which miss 1e-9 through the extended-precision
-    # chain, whose float64 steering rows are the less accurate side there.
+    # are trials 16687 (cond 9e10) and 17472 (cond 2e14), which miss 1e-9
+    # through the extended-precision chain by 3.9e-9 and 2.3e-6.  No trial of
+    # these is redrawn: seed 2026's first singular draw at 32x5 is trial 39902.
     cfg = ArrayConfig(32, 0.5)
     trials, rho = 20000, 1000.0
     aods, gains = draw_block(2026, 5, trials)
@@ -286,12 +316,39 @@ def test_hbs_kernel_matches_extended_gram_reference():
     inv_diag = np.einsum("tkk->tk", gauss_jordan_inverse(gram)).real
     ref = np.log2(1 + rho * cfg.n_tx * np.abs(gains.astype(np.clongdouble)) ** 2 / inv_diag)
     declared = np.nonzero(np.linalg.cond(gram.astype(complex)) > 1e10)[0].tolist()
-    assert declared == [1623, 1680, 1725, 1826, 1920, 3983, 4377, 6015, 8990, 13283,
-                        17489, 17770]
-    assert resampled == 1
+    assert declared == [1362, 4702, 7197, 8876, 13562, 14207, 14792, 16687, 17472]
+    assert resampled == 0
     err = np.abs(se - ref.astype(float)).max(axis=1)
     err[declared] = 0.0
     assert err.max() <= 1e-9, f"trial {np.argmax(err)} off by {err.max():.3g}"
+
+
+def test_singular_trial_flags_only_itself():
+    # Trial 5's two users coincide, so its Gram matrix is exactly singular and
+    # stops the chunk's batched solve.  Only that trial goes to the
+    # extended-precision chain, which redraws it; every other trial keeps the
+    # gains the batched solve gives it without trial 5's change.
+    cfg = ArrayConfig(16, 0.5)
+    clean = draw_block(2026, 2, 64)
+    clean_g2, _, clean_flagged = _gain_chunk(*clean, cfg, Scheme.HBS, 2026, 0)
+    assert clean_flagged == 0
+    aods = clean[0].copy()
+    aods[5, 1] = aods[5, 0]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(_gram(aods, cfg), np.eye(2))
+    g2, resampled, flagged = _gain_chunk(aods, clean[1], cfg, Scheme.HBS, 2026, 0)
+    assert (resampled, flagged) == (1, 1)
+    others = np.arange(64) != 5
+    assert g2[others].tobytes() == clean_g2[others].tobytes()
+
+
+def test_per_trial_solve_equals_batched_solve():
+    # the gain stage's trial-by-trial solve of a chunk that holds a singular
+    # trial gives the other trials the batched solve's bytes
+    gram = _gram(draw_block(2026, 5, semetrics._CHUNK)[0], ArrayConfig(32, 0.5))
+    eye = np.eye(5)
+    batched = np.linalg.solve(gram, eye)
+    assert batched.tobytes() == np.stack([np.linalg.solve(g, eye) for g in gram]).tobytes()
 
 
 def test_fallback_count_matches_chain_calls():
@@ -323,9 +380,9 @@ def test_chunk_size_invariance(monkeypatch):
 def test_snr_grid_equals_one_point_calls(workers):
     # One simulation reduced at every point of an unsorted grid with a
     # repeated point equals a simulation per point.  32x5 at seed 2026 with
-    # two chunks covers the HBS fallback and trial 1725's redraw.
+    # 40000 trials covers the HBS fallback and trial 39902's redraw.
     cfg = ArrayConfig(32, 0.5)
-    trials = 2500
+    trials = 40000
     assert trials > semetrics._CHUNK
     snrs = [SnrPoint.from_db(30.0), 0.5, SnrPoint.from_db(-10.0), SnrPoint.from_db(30.0)]
     for scheme in Scheme:
@@ -341,7 +398,7 @@ def test_draw_block_is_stacked_per_trial_draws(n_users):
     for seed, start, count in ((2026, 0, 7), (0, semetrics._CHUNK - 3, 6), (7, 10**6, 3),
                                (2**32 - 1, 1, semetrics._CHUNK + 5)):
         aods, gains = draw_block(seed, n_users, count, start)
-        ref_aods, ref_gains = zip(*(sample_path_params(child_rng(seed, t), n_users)
+        ref_aods, ref_gains = zip(*(sample_path_params(child_rng(seed, n_users, t), n_users)
                                     for t in range(start, start + count)))
         assert aods.tobytes() == np.stack(ref_aods).tobytes()
         assert gains.tobytes() == np.stack(ref_gains).tobytes()
