@@ -39,14 +39,6 @@ class DegeneratePrecoder(Exception):
     """A precoder column maps to the zero vector and cannot be normalized."""
 
 
-def build_rf_matrix(angles, config: ArrayConfig) -> np.ndarray:
-    """Stack per-user steering columns into the n_tx x K RF matrix."""
-    angles = np.asarray(angles, dtype=float)
-    if angles.ndim != 1 or angles.size == 0:
-        raise ValueError("angles must be a non-empty 1-D sequence")
-    return steering_vector(angles, config)  # (n_tx, K)
-
-
 def _product(left, right, left_name: str, right_name: str) -> np.ndarray:
     """Matrix product left @ right formed in extended precision."""
     left = np.asarray(left)
@@ -102,6 +94,8 @@ def _normalize(w: np.ndarray, rf: np.ndarray) -> np.ndarray:
 def hbs_beamformer_set(h_matrix: np.ndarray, angles, config: ArrayConfig) -> np.ndarray:
     """Full hybrid chain: steering, equivalent channel, ZF, vector normalization.
 
+    ``angles`` holds the K users' angles, one per row of ``h_matrix``; a
+    scalar or an empty sequence fails the dimension checks with ValueError.
     Returns the n_tx x K composite F = F_RF W (complex128), one unit-norm
     column per stream.  H_hat = H F_RF, its inverse, the column normalization
     and F_RF W all stay in ``np.clongdouble``; the composite is rounded to
@@ -109,6 +103,6 @@ def hbs_beamformer_set(h_matrix: np.ndarray, angles, config: ArrayConfig) -> np.
     about eps64 * cond(H_hat) of interference suppression (1.7e-8 leakage at
     cond 2e8).
     """
-    rf = build_rf_matrix(angles, config)
+    rf = steering_vector(np.asarray(angles, float), config)  # (n_tx, K)
     w = _invert(_product(h_matrix, rf, "H", "F_RF"))
     return _product(rf, _normalize(w, rf), "F_RF", "W").astype(complex)

@@ -8,11 +8,13 @@ Log-Rayleigh approximation of the zero-forcing hybrid scheme's SE.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .arrays import ArrayConfig
+from .semetrics import SnrPoint
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -28,19 +30,11 @@ for _m in range(1, 26):
 _SERIES_CUTOFF = 12.0
 
 
-class BoundKind(enum.Enum):
-    ABS_SATURATION_K2 = "AbsSaturationK2"
-    ABS_SATURATION_K_GT2 = "AbsSaturationKGt2"
-    HBS_APPROX = "HbsApprox"
-
-
 @dataclass(frozen=True)
 class BoundResult:
-    """Evaluated closed-form bound, bits/s/Hz, with the scenario parameters."""
+    """Evaluated closed-form bound, bits/s/Hz."""
 
     value: float
-    kind: BoundKind
-    params: dict = field(default_factory=dict)
 
 
 def _j0_series(x):
@@ -90,10 +84,9 @@ def _interference_sum(n_tx: int, spacing: float) -> float:
 
     Accumulated smallest-terms-first (descending i) via exact summation.
     """
-    if not 0.0 < spacing < math.inf:
-        raise ValueError(f"spacing must be a positive real, got {spacing!r}")
-    idx = np.arange(n_tx - 1, 0, -1)
-    terms = 2.0 * (1.0 - idx / n_tx) * bessel_j0(2.0 * np.pi * spacing * idx) ** 2
+    config = ArrayConfig(n_tx, spacing)  # the array checks the simulation applies
+    idx = np.arange(config.n_tx - 1, 0, -1)
+    terms = 2.0 * (1.0 - idx / config.n_tx) * bessel_j0(2.0 * np.pi * config.spacing * idx) ** 2
     return math.fsum(list(np.atleast_1d(terms)) + [1.0])
 
 
@@ -104,8 +97,6 @@ def cross_correlation_expectation(n_tx: int, spacing: float) -> float:
     gives S / n_tx for unit-norm steering vectors (each of the n_tx lag-0
     terms contributes 1/n_tx^2).
     """
-    if n_tx < 1:
-        raise ValueError("n_tx must be >= 1")
     return _interference_sum(n_tx, spacing) / n_tx
 
 
@@ -115,15 +106,10 @@ def abs_saturation_bound(n_tx: int, spacing: float, n_users: int) -> BoundResult
     log2(1 + n_tx^2 / ((K-1)^2 S)); the K = 2 case is the single-interferer
     specialization.
     """
-    if n_tx < 1:
-        raise ValueError("n_tx must be >= 1")
     if n_users < 2:
         raise ValueError("saturation bound needs at least one interferer (K >= 2)")
     s = _interference_sum(n_tx, spacing)
-    value = math.log2(1.0 + n_tx**2 / ((n_users - 1) ** 2 * s))
-    kind = BoundKind.ABS_SATURATION_K2 if n_users == 2 else BoundKind.ABS_SATURATION_K_GT2
-    return BoundResult(value=value, kind=kind,
-                       params={"n_tx": n_tx, "d": spacing, "k_users": n_users})
+    return BoundResult(value=math.log2(1.0 + n_tx**2 / ((n_users - 1) ** 2 * s)))
 
 
 def log_rayleigh_mean(scale_arg: float) -> float:
@@ -134,15 +120,15 @@ def log_rayleigh_mean(scale_arg: float) -> float:
     return math.log(scale_arg) + math.log(2.0) / 2.0 - EULER_GAMMA / 2.0
 
 
-def hbs_se_approx(rho, n_tx: int, sigma: float = DEFAULT_SIGMA) -> BoundResult:
+def hbs_se_approx(rho, n_tx: int) -> BoundResult:
     """Log-Rayleigh approximation of the hybrid scheme's per-stream SE.
 
-    (2/ln 2) * E[ln(sqrt(rho*n_tx)|alpha|)] with |alpha| Rayleigh(sigma).
-    Tight for rho*n_tx >> 1; undershoots at low SNR.
+    (2/ln 2) * E[ln(sqrt(rho*n_tx)|alpha|)] with |alpha| Rayleigh(DEFAULT_SIGMA).
+    Tight for rho*n_tx >> 1; undershoots at low SNR.  ``rho`` is an
+    ``SnrPoint`` or a linear SNR; both inputs get the simulation's checks.
     """
-    rho_lin = rho.rho_linear if hasattr(rho, "rho_linear") else float(rho)
-    if rho_lin <= 0 or n_tx < 1 or sigma <= 0:
-        raise ValueError("need rho > 0, n_tx >= 1, sigma > 0")
-    value = 2.0 / math.log(2.0) * log_rayleigh_mean(math.sqrt(rho_lin * n_tx) * sigma)
-    return BoundResult(value=value, kind=BoundKind.HBS_APPROX,
-                       params={"n_tx": n_tx, "rho": rho_lin, "sigma": sigma})
+    rho_lin = (rho if isinstance(rho, SnrPoint) else SnrPoint(float(rho))).rho_linear
+    config = ArrayConfig(n_tx)
+    value = 2.0 / math.log(2.0) * log_rayleigh_mean(
+        math.sqrt(rho_lin * config.n_tx) * DEFAULT_SIGMA)
+    return BoundResult(value=value)

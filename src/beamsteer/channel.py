@@ -1,8 +1,11 @@
-"""Random pure line-of-sight (LoS) channel generation.
+"""Random draws of pure line-of-sight (LoS) channels.
 
 Each user's channel is a single plane wave: departure angle uniform on
 [0, 2*pi) and a circularly-symmetric complex Gaussian gain with unit second
-moment (E|alpha|^2 = 1), so E||h||^2 = n_tx.
+moment (E|alpha|^2 = 1), so the row sqrt(n_tx) alpha a(aod)^H has
+E||h||^2 = n_tx.  This module draws only the (aod, gain) pairs; ``semetrics``
+builds what it needs from them, and the tests' reference rows are in
+``tests/los_reference.py``.
 
 Stream layout.  A trial of K users uses exactly 3K uniforms u on [0, 1):
 K angles aod = 2 pi u, then K radii u_r and K phases u_phi, which give the
@@ -23,21 +26,10 @@ chunking or across workers with identical results.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, steering_vector
-
 TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class PathParams:
-    """One propagation path: complex amplitude and angle of departure (rad)."""
-
-    gain: complex
-    aod: float
 
 
 def _counter_steps(n_paths: int) -> int:
@@ -75,9 +67,3 @@ def sample_path_params(rng: np.random.Generator, n_paths: int, count: int | None
     radii = np.sqrt(-np.log1p(-u[:, n_paths:2 * n_paths]))
     gains = radii * np.exp(1j * TWO_PI * u[:, 2 * n_paths:3 * n_paths])
     return (aods[0], gains[0]) if count is None else (aods, gains)
-
-
-def los_channel(path: PathParams, config: ArrayConfig) -> np.ndarray:
-    """Pure LoS channel row: sqrt(n_tx) * alpha * a(phi)^H."""
-    return np.sqrt(config.n_tx) * path.gain * steering_vector(path.aod, config).conj()
-

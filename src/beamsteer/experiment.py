@@ -36,10 +36,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.n_tx_list:
             raise ValueError("n_tx_list must be non-empty")
-        if self.n_beams < 1:
-            raise ValueError("n_beams must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         grid = list(self.snr_db_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_db_grid must be non-empty and strictly increasing")
@@ -158,19 +154,14 @@ FIGURE_PRESETS = {
 }
 
 
-def figure_configs(name: str, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
-                   snr_db_grid=DEFAULT_SNR_GRID):
-    preset = FIGURE_PRESETS[name]
-    return [ExperimentConfig(n_tx_list=preset["n_tx_list"], n_beams=nb,
-                             snr_db_grid=tuple(snr_db_grid), trials=trials,
-                             seed=seed, schemes=preset["schemes"], bounds=True)
-            for nb in preset["n_beams_list"]]
-
-
 def run_figure(name: str, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
                snr_db_grid=DEFAULT_SNR_GRID, workers: int = 1):
+    preset = FIGURE_PRESETS[name]
     rows = []
-    for cfg in figure_configs(name, trials, seed, snr_db_grid):
+    for nb in preset["n_beams_list"]:
+        cfg = ExperimentConfig(n_tx_list=preset["n_tx_list"], n_beams=nb,
+                               snr_db_grid=tuple(snr_db_grid), trials=trials,
+                               seed=seed, schemes=preset["schemes"], bounds=True)
         rows.extend(run_sweep(cfg, workers=workers))
     return rows
 

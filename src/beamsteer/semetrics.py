@@ -34,7 +34,9 @@ resample stream: the same counters under the key word of attempt 1, 2, ...
 The redraw stays local to the cell: the shared block is never written.
 ``MonteCarloEstimate.n_fallback`` counts those trials.  SNR enters only in
 the SE reduction ``se_from_gains``, so one simulation serves a whole SNR
-grid.
+grid.  An SNR point is an ``SnrPoint``, one linear value that its
+constructor checks to be finite and positive; ``check_cell`` checks every
+other input of a cell before anything is drawn.
 
 Per-trial results come from each trial's own counters and are written into
 a (trials, K, K) gain array that is reduced in a fixed order, so the estimate
@@ -45,6 +47,7 @@ whether the block was shared.
 from __future__ import annotations
 
 import enum
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -74,19 +77,15 @@ class Scheme(enum.Enum):
 
 @dataclass(frozen=True)
 class SnrPoint:
-    """Per-user transmit SNR, carried in linear and dB form."""
+    """Per-user transmit SNR, linear; it must be finite and positive."""
 
     rho_linear: float
-    rho_db: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.rho_linear) and np.isfinite(self.rho_db)):
-            raise ValueError(f"SNR must be finite, got rho_linear={self.rho_linear!r}, "
-                             f"rho_db={self.rho_db!r}")
+        if not np.isfinite(self.rho_linear):
+            raise ValueError(f"SNR must be finite, got rho_linear={self.rho_linear!r}")
         if self.rho_linear <= 0:
             raise ValueError("rho_linear must be positive")
-        if abs(self.rho_db - 10.0 * np.log10(self.rho_linear)) > 1e-9:
-            raise ValueError("rho_db inconsistent with rho_linear")
 
     @classmethod
     def from_db(cls, rho_db: float) -> "SnrPoint":
@@ -94,13 +93,7 @@ class SnrPoint:
             rho_linear = 10.0 ** (rho_db / 10.0)
         except OverflowError:
             raise ValueError(f"SNR must be finite, {rho_db} dB overflows") from None
-        return cls(rho_linear=rho_linear, rho_db=rho_db)
-
-    @classmethod
-    def from_linear(cls, rho_linear: float) -> "SnrPoint":
-        if rho_linear <= 0:
-            raise ValueError("rho_linear must be positive")
-        return cls(rho_linear=rho_linear, rho_db=10.0 * np.log10(rho_linear))
+        return cls(rho_linear)
 
 
 @dataclass(frozen=True)
@@ -110,7 +103,6 @@ class MonteCarloEstimate:
     n_trials: int
     n_resampled: int
     n_fallback: int  # trials computed by the extended-precision chain
-    per_user_mean: tuple  # per-stream means, diagnostics only
 
 
 def se_from_gains(gains: np.ndarray, rho_lin: float) -> np.ndarray:
@@ -157,23 +149,25 @@ def _draw_chunk(seed, n_users, start, count):
     return sample_path_params(child_rng(seed, n_users, start), n_users, count)
 
 
-def draw_block(seed: int, n_users: int, trials: int, start: int = 0, workers: int = 1):
-    """Draw stage: first-attempt draws of trials [start, start + trials).
+def draw_block(seed: int, n_users: int, trials: int, workers: int = 1):
+    """Draw stage: first-attempt draws of trials [0, trials).
 
     Returns read-only (aods, gains) arrays of shape (trials, n_users), row t
-    byte-identical to ``sample_path_params(child_rng(seed, n_users, start + t),
+    byte-identical to ``sample_path_params(child_rng(seed, n_users, t),
     n_users)``.  With ``workers > 1`` chunks of trials are drawn over a
-    process pool; the values do not depend on it.
+    process pool; the values do not depend on it.  The pool starts all its
+    processes at once, so it gets no more than one per chunk and per CPU.
     """
-    starts = range(start, start + trials, _CHUNK)
+    starts = range(0, trials, _CHUNK)
     if workers > 1 and len(starts) > 1:
-        counts = [min(_CHUNK, start + trials - s) for s in starts]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        counts = [min(_CHUNK, trials - s) for s in starts]
+        max_workers = min(workers, len(starts), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=max_workers) as pool:
             parts = list(pool.map(_draw_chunk, repeat(seed), repeat(n_users), starts, counts))
         aods, gains = (np.concatenate(p) for p in zip(*parts))
         del parts
     else:
-        aods, gains = _draw_chunk(seed, n_users, start, trials)
+        aods, gains = _draw_chunk(seed, n_users, 0, trials)
     aods.flags.writeable = gains.flags.writeable = False
     return aods, gains
 
@@ -246,20 +240,19 @@ def check_cell(config: ArrayConfig, n_users: int, scheme: Scheme, snrs, trials: 
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if n_users < 1:
-        raise ValueError("n_users must be >= 1")
+        raise ValueError("n_users (beams) must be >= 1")
     scheme = Scheme(scheme)
     if scheme is Scheme.HBS and n_users > config.n_tx:
         raise ValueError(f"HBS needs n_users <= n_tx: the equivalent channel of "
                          f"{n_users} users on {config.n_tx} antennas is singular")
-    snrs = [p if isinstance(p, SnrPoint) else SnrPoint.from_linear(float(p)) for p in snrs]
+    snrs = [p if isinstance(p, SnrPoint) else SnrPoint(float(p)) for p in snrs]
     if not snrs:
         raise ValueError("at least one SNR point is required")
     return scheme, snrs
 
 
 def run_monte_carlo(config: ArrayConfig, n_users: int, scheme: Scheme, snrs,
-                    trials: int, seed: int, workers: int = 1,
-                    *, block=None) -> tuple[MonteCarloEstimate, ...]:
+                    trials: int, seed: int, *, block=None) -> tuple[MonteCarloEstimate, ...]:
     """Monte Carlo estimates of the expected per-stream SE over an SNR grid.
 
     ``snrs`` is a non-empty sequence of ``SnrPoint`` or linear SNRs, each
@@ -269,13 +262,13 @@ def run_monte_carlo(config: ArrayConfig, n_users: int, scheme: Scheme, snrs,
     under i.i.d. user statistics, so each estimate averages over trials and
     streams.
 
-    The trials are drawn by ``draw_block`` over ``workers`` processes, unless
-    ``block``, that call's result for this seed, user count and trial count,
-    is given to share one draw between cells; the estimates are the same.
+    The trials are drawn by ``draw_block`` in this process, unless ``block``,
+    that call's result for this seed, user count and trial count, is given to
+    share one draw between cells; the estimates are the same.
     """
     scheme, snrs = check_cell(config, n_users, scheme, snrs, trials)
     if block is None:
-        block = draw_block(seed, n_users, trials, workers=workers)
+        block = draw_block(seed, n_users, trials)
     aods, gains = block
     if aods.shape != (trials, n_users):
         raise ValueError(f"block holds {aods.shape} draws, not (trials, n_users) = "
@@ -292,8 +285,7 @@ def run_monte_carlo(config: ArrayConfig, n_users: int, scheme: Scheme, snrs,
 
     estimates = []
     for rho in snrs:
-        se = se_from_gains(g2, rho.rho_linear)
-        flat = se.ravel()
+        flat = se_from_gains(g2, rho.rho_linear).ravel()
         std = flat.std(ddof=1) if flat.size > 1 else 0.0
         estimates.append(MonteCarloEstimate(
             mean=float(flat.mean()),
@@ -301,6 +293,5 @@ def run_monte_carlo(config: ArrayConfig, n_users: int, scheme: Scheme, snrs,
             n_trials=trials,
             n_resampled=n_resampled,
             n_fallback=n_fallback,
-            per_user_mean=tuple(se.mean(axis=0)),
         ))
     return tuple(estimates)

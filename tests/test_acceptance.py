@@ -14,12 +14,13 @@ import pytest
 from beamsteer.arrays import ArrayConfig, steering_vector
 from beamsteer.beamforming import SingularEquivalentChannel, hbs_beamformer_set
 from beamsteer.bounds import bessel_j0, cross_correlation_expectation, hbs_se_approx
-from beamsteer.channel import PathParams, child_rng, los_channel, sample_path_params
+from beamsteer.channel import child_rng, sample_path_params
 from beamsteer.cli import main
 from beamsteer.experiment import run_validation
 from beamsteer.semetrics import Scheme, SnrPoint, run_monte_carlo
 
 from j0_oracle import j0_series, j0_zero
+from los_reference import PathParams, los_channel
 
 TRIALS = int(os.environ.get("BEAMSTEER_ACCEPT_TRIALS", "50000"))
 SEED = 2026

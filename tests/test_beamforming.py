@@ -3,8 +3,10 @@ import pytest
 
 from beamsteer.arrays import ArrayConfig, steering_vector
 from beamsteer.beamforming import (DegeneratePrecoder, SingularEquivalentChannel, _invert,
-                                   _normalize, _product, build_rf_matrix, hbs_beamformer_set)
-from beamsteer.channel import PathParams, child_rng, los_channel, sample_path_params
+                                   _normalize, _product, hbs_beamformer_set)
+from beamsteer.channel import child_rng, sample_path_params
+
+from los_reference import PathParams, los_channel
 
 
 def random_los_setup(rng, n_tx, n_users, spacing=0.5):
@@ -22,33 +24,38 @@ def test_abs_gain_onto_own_channel():
 
 
 def test_rf_matrix_columns():
+    # the RF matrix F_RF is the steering vectors of a 1-D angle array
     cfg = ArrayConfig(8, 0.5)
-    rf = build_rf_matrix([0.4], cfg)
+    rf = steering_vector(np.array([0.4]), cfg)
     assert rf.shape == (8, 1)
     assert np.allclose(rf[:, 0], steering_vector(0.4, cfg))
-    rf2 = build_rf_matrix([1.0, 1.0], cfg)
+    rf2 = steering_vector(np.array([1.0, 1.0]), cfg)
     assert np.allclose(rf2[:, 0], rf2[:, 1])
     gram = rf2.conj().T @ rf2
     assert np.allclose(np.diag(gram).real, 1.0, atol=1e-12)
 
 
 def test_rf_matrix_empty_rejected():
-    with pytest.raises(ValueError):
-        build_rf_matrix([], ArrayConfig(4))
+    # an empty or scalar angle set gives no K x K equivalent channel
+    cfg = ArrayConfig(4)
+    h = los_channel(PathParams(1.0, 0.3), cfg)[None, :]
+    for angles in ([], 0.3):
+        with pytest.raises(ValueError):
+            hbs_beamformer_set(h, angles, cfg)
 
 
 def test_equivalent_channel_matched_single_user():
     cfg = ArrayConfig(16, 0.5)
     alpha = 0.7 - 0.3j
     h = los_channel(PathParams(alpha, 1.4), cfg)[None, :]
-    h_hat = _product(h, build_rf_matrix([1.4], cfg), "H", "F_RF").astype(complex)
+    h_hat = _product(h, steering_vector(np.array([1.4]), cfg), "H", "F_RF").astype(complex)
     assert h_hat[0, 0] == pytest.approx(np.sqrt(16) * alpha, abs=1e-12)
 
 
 def test_equivalent_channel_matches_dense_product():
     rng = np.random.default_rng(11)
     cfg, angles, _, h = random_los_setup(rng, 16, 3)
-    rf = build_rf_matrix(angles, cfg)
+    rf = steering_vector(angles, cfg)
     h_hat = _product(h, rf, "H", "F_RF").astype(complex)
     expected = np.array([[sum(h[k, m] * rf[m, i] for m in range(16))
                           for i in range(3)] for k in range(3)])
@@ -90,7 +97,7 @@ def test_zf_singular_on_coincident_angles():
     _, _, gains, _ = random_los_setup(rng, 8, 2)
     angles = np.array([0.3, 0.3])
     h = np.stack([los_channel(PathParams(g, a), cfg) for g, a in zip(gains, angles)])
-    h_hat = _product(h, build_rf_matrix(angles, cfg), "H", "F_RF").astype(complex)
+    h_hat = _product(h, steering_vector(angles, cfg), "H", "F_RF").astype(complex)
     with pytest.raises(SingularEquivalentChannel):
         _invert(h_hat)
 
@@ -103,7 +110,7 @@ def test_zf_non_square_rejected():
 def test_vector_normalize_unit_composite_columns():
     rng = np.random.default_rng(15)
     cfg, angles, _, h = random_los_setup(rng, 32, 3)
-    rf = build_rf_matrix(angles, cfg)
+    rf = steering_vector(angles, cfg)
     h_hat = _product(h, rf, "H", "F_RF").astype(complex)
     w = _normalize(_invert(h_hat).astype(complex), rf).astype(complex)
     assert np.allclose(np.linalg.norm(rf @ w, axis=0), 1.0, atol=1e-10)
@@ -112,7 +119,7 @@ def test_vector_normalize_unit_composite_columns():
 def test_vector_normalize_scale_invariance():
     rng = np.random.default_rng(16)
     cfg, angles, _, _ = random_los_setup(rng, 8, 2)
-    rf = build_rf_matrix(angles, cfg)
+    rf = steering_vector(angles, cfg)
     w = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     scaled = w.copy()
     scaled[:, 0] *= 10.0
@@ -122,7 +129,7 @@ def test_vector_normalize_scale_invariance():
 
 def test_vector_normalize_zero_column_rejected():
     cfg = ArrayConfig(4, 0.5)
-    rf = build_rf_matrix([0.1, 0.9], cfg)
+    rf = steering_vector(np.array([0.1, 0.9]), cfg)
     w = np.array([[1.0, 0.0], [0.5j, 0.0]])
     with pytest.raises(DegeneratePrecoder):
         _normalize(w, rf)
@@ -155,7 +162,7 @@ def test_hbs_null_interference_ill_conditioned_draw():
     angles, gains = sample_path_params(child_rng(2027, 4, 3098), 4)
     h = np.stack([los_channel(PathParams(g, a), cfg) for g, a in zip(gains, angles)])
     f = hbs_beamformer_set(h, angles, cfg)
-    assert np.linalg.cond(h @ build_rf_matrix(angles, cfg)) > 1e8
+    assert np.linalg.cond(h @ steering_vector(angles, cfg)) > 1e8
     gains_mat = np.abs(h @ f)
     diag = np.diag(gains_mat).copy()
     np.fill_diagonal(gains_mat, 0.0)
@@ -167,7 +174,7 @@ def test_hbs_null_interference_ill_conditioned_draw():
 def test_hbs_invariant_to_equivalent_channel_scaling():
     rng = np.random.default_rng(18)
     cfg, angles, _, h = random_los_setup(rng, 16, 3)
-    rf = build_rf_matrix(angles, cfg)
+    rf = steering_vector(angles, cfg)
     h_hat = _product(h, rf, "H", "F_RF").astype(complex)
     w1 = _normalize(_invert(h_hat).astype(complex), rf).astype(complex)
     w2 = _normalize(_invert(3.0 * h_hat).astype(complex), rf).astype(complex)

@@ -3,7 +3,9 @@ import pytest
 from scipy import stats
 
 from beamsteer.arrays import ArrayConfig, steering_vector
-from beamsteer.channel import TWO_PI, PathParams, child_rng, los_channel, sample_path_params
+from beamsteer.channel import TWO_PI, child_rng, sample_path_params
+
+from los_reference import PathParams, los_channel
 
 CFG8 = ArrayConfig(8, 0.5)
 

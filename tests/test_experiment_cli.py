@@ -35,13 +35,24 @@ def test_parse_lists():
         parse_schemes("ZF")
 
 
-def test_config_validation():
+def test_config_validation(tmp_path, monkeypatch):
     with pytest.raises(ValueError):
         ExperimentConfig(n_tx_list=(16,), n_beams=2, snr_db_grid=(10.0, 5.0))
     with pytest.raises(ValueError):
         ExperimentConfig(n_tx_list=(), n_beams=2)
-    with pytest.raises(ValueError):
-        ExperimentConfig(n_tx_list=(16,), n_beams=2, trials=0)
+
+    # trial and beam counts are checked per cell, before anything is drawn
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before the cell checks")
+
+    monkeypatch.setattr(experiment, "draw_block", no_draw)
+    for kwargs, match in (({"trials": 0}, "trials"), ({"n_beams": 0}, "beams")):
+        cfg = ExperimentConfig(**{"n_tx_list": (16,), "n_beams": 2, **kwargs})
+        with pytest.raises(ValueError, match=match):
+            run_sweep(cfg)
+    zero_beams = tmp_path / "zero.cfg"
+    zero_beams.write_text("nbeams = 0\n")
+    assert main(["sweep", "--config", str(zero_beams)]) == 1
 
 
 def test_figure1_row_counts():
@@ -199,6 +210,35 @@ def test_non_positive_threads_exit_one(capsys):
         assert main(["sweep", "--ntx", "8", "--trials", "10", "--no-bounds",
                      "--threads", threads]) == 1
         assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cpus, started", [(64, 2), (1, 1), (None, 1)])
+def test_pool_size_capped(monkeypatch, capsys, cpus, started):
+    # ProcessPoolExecutor forks all max_workers processes when it starts, so
+    # --threads 100000 on 2-chunk blocks must ask for no more than one per
+    # chunk and per CPU.  The fake pool records the request and starts none.
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    args = ["sweep", "--ntx", "8", "--trials", str(2 * semetrics._CHUNK), "--no-bounds"]
+    assert main(args) == 0
+    single = capsys.readouterr().out
+    monkeypatch.setattr(semetrics, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert main(args + ["--threads", "100000"]) == 0
+    assert requested == [started]
+    assert capsys.readouterr().out == single
 
 
 def test_non_finite_snr_range_exit_one(capsys):

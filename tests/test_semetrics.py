@@ -10,11 +10,13 @@ from scipy.special import exp1
 from beamsteer import semetrics
 from beamsteer.arrays import ArrayConfig, phase_progression, steering_vector
 from beamsteer.beamforming import (DegeneratePrecoder, SingularEquivalentChannel,
-                                   build_rf_matrix, hbs_beamformer_set)
+                                   hbs_beamformer_set)
 from beamsteer.bounds import cross_correlation_expectation
-from beamsteer.channel import PathParams, child_rng, los_channel, sample_path_params
+from beamsteer.channel import child_rng, sample_path_params
 from beamsteer.semetrics import (MonteCarloEstimate, Scheme, SnrPoint, _gain_chunk, _gram,
                                  draw_block, run_monte_carlo, se_from_gains)
+
+from los_reference import PathParams, los_channel
 
 
 def dense_trial_se(cfg, n_users, scheme, rho, seed, trial):
@@ -61,10 +63,10 @@ def dense_se(cfg, n_users, scheme, rho, seed, start, count):
 def kernel_se(cfg, n_users, scheme, rho, seed, start, count, block=None):
     """The rho-free kernel's (count, K, K) gains reduced to SE at ``rho``.
 
-    The gain stage runs on ``block``, by default the draw stage's block of
-    trials [start, start + count).
+    The gain stage runs on ``block``, by default the draws of trials
+    [start, start + count), one generator call as the draw stage makes it.
     """
-    aods, gains = block or draw_block(seed, n_users, count, start)
+    aods, gains = block or sample_path_params(child_rng(seed, n_users, start), n_users, count)
     g2, resampled, _ = _gain_chunk(aods, gains, cfg, Scheme(scheme), seed, start)
     return se_from_gains(g2, rho), resampled
 
@@ -77,23 +79,20 @@ def sinr(se):
 def test_snr_point_roundtrip():
     p = SnrPoint.from_db(30.0)
     assert p.rho_linear == pytest.approx(1000.0)
-    assert SnrPoint.from_linear(100.0).rho_db == pytest.approx(20.0)
-    with pytest.raises(ValueError):
-        SnrPoint(rho_linear=10.0, rho_db=20.0)
-    with pytest.raises(ValueError):
-        SnrPoint.from_linear(-1.0)
+    assert SnrPoint(100.0).rho_linear == 100.0
+    for rho in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="positive"):
+            SnrPoint(rho)
 
 
 @pytest.mark.parametrize("make", [
     lambda: SnrPoint.from_db(float("nan")),
     lambda: SnrPoint.from_db(float("inf")),
     lambda: SnrPoint.from_db(float("-inf")),
-    lambda: SnrPoint.from_linear(float("nan")),
-    lambda: SnrPoint.from_linear(float("inf")),
+    lambda: SnrPoint(float("nan")),
+    lambda: SnrPoint(float("inf")),
     lambda: SnrPoint.from_db(4000.0),
-    lambda: SnrPoint(rho_linear=float("nan"), rho_db=float("nan")),
-], ids=["db-nan", "db-inf", "db-minus-inf", "linear-nan", "linear-inf", "db-overflow",
-        "direct-nan"])
+], ids=["db-nan", "db-inf", "db-minus-inf", "linear-nan", "linear-inf", "db-overflow"])
 def test_snr_point_rejects_non_finite(make):
     with pytest.raises(ValueError):
         make()
@@ -144,9 +143,10 @@ def test_monte_carlo_determinism():
 
 def test_monte_carlo_worker_count_invariance():
     cfg = ArrayConfig(8, 0.5)
-    a = run_monte_carlo(cfg, 3, Scheme.HBS, [100.0], 5000, 7, workers=1)
-    b = run_monte_carlo(cfg, 3, Scheme.HBS, [100.0], 5000, 7, workers=3)
-    assert a == b
+    own = run_monte_carlo(cfg, 3, Scheme.HBS, [100.0], 5000, 7)
+    for workers in (1, 3):
+        block = draw_block(7, 3, 5000, workers=workers)
+        assert run_monte_carlo(cfg, 3, Scheme.HBS, [100.0], 5000, 7, block=block) == own
 
 
 def test_no_interference_single_antenna_vs_quadrature():
@@ -196,7 +196,6 @@ def test_batch_path_matches_module_operations():
         ref, attempts, tol = dense_se(cfg, 5, scheme, rho, 2026, 0, trials)
         assert np.all(np.abs(block - ref).max(axis=1) <= tol)
         assert est.mean == pytest.approx(ref.mean(), abs=1e-8)
-        assert est.per_user_mean == pytest.approx(tuple(ref.mean(axis=0)), abs=1e-8)
         assert est.n_resampled == 0
         assert est.n_fallback > 0 if scheme is Scheme.HBS else est.n_fallback == 0
     start = 39902 // semetrics._CHUNK * semetrics._CHUNK
@@ -386,7 +385,8 @@ def test_snr_grid_equals_one_point_calls(workers):
     assert trials > semetrics._CHUNK
     snrs = [SnrPoint.from_db(30.0), 0.5, SnrPoint.from_db(-10.0), SnrPoint.from_db(30.0)]
     for scheme in Scheme:
-        grid = run_monte_carlo(cfg, 5, scheme, snrs, trials, 2026, workers=workers)
+        grid = run_monte_carlo(cfg, 5, scheme, snrs, trials, 2026,
+                               block=draw_block(2026, 5, trials, workers=workers))
         assert grid == tuple(run_monte_carlo(cfg, 5, scheme, [snr], trials, 2026)[0]
                              for snr in snrs)
         assert grid[0].n_resampled == (1 if scheme is Scheme.HBS else 0)
@@ -394,10 +394,14 @@ def test_snr_grid_equals_one_point_calls(workers):
 
 @pytest.mark.parametrize("n_users", range(1, 7))
 def test_draw_block_is_stacked_per_trial_draws(n_users):
-    # one block spans a gain-stage chunk boundary, one is longer than a chunk
+    # A block is trials [0, count); the pool draws each chunk [start, start +
+    # count) as one generator call.  One call spans a gain-stage chunk
+    # boundary; one block and one call hold more than a chunk.
     for seed, start, count in ((2026, 0, 7), (0, semetrics._CHUNK - 3, 6), (7, 10**6, 3),
-                               (2**32 - 1, 1, semetrics._CHUNK + 5)):
-        aods, gains = draw_block(seed, n_users, count, start)
+                               (2**32 - 1, 1, semetrics._CHUNK + 5),
+                               (2**32 - 1, 0, semetrics._CHUNK + 5)):
+        aods, gains = (draw_block(seed, n_users, count) if start == 0 else
+                       sample_path_params(child_rng(seed, n_users, start), n_users, count))
         ref_aods, ref_gains = zip(*(sample_path_params(child_rng(seed, n_users, t), n_users)
                                     for t in range(start, start + count)))
         assert aods.tobytes() == np.stack(ref_aods).tobytes()
@@ -407,8 +411,8 @@ def test_draw_block_is_stacked_per_trial_draws(n_users):
 
 def test_draw_block_pooled_equals_in_process():
     count = 2 * semetrics._CHUNK + 5
-    single = draw_block(11, 4, count, 3)
-    pooled = draw_block(11, 4, count, 3, workers=2)
+    single = sample_path_params(child_rng(11, 4, 0), 4, count)
+    pooled = draw_block(11, 4, count, workers=2)
     for a, b in zip(single, pooled):
         assert a.tobytes() == b.tobytes()
         assert not b.flags.writeable
@@ -456,7 +460,7 @@ def test_abs_high_snr_ceiling_per_realization():
     angles = rng.uniform(0, 2 * np.pi, 3)
     gains = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / np.sqrt(2)
     h = np.stack([los_channel(PathParams(g, a), cfg) for g, a in zip(gains, angles)])
-    f = build_rf_matrix(angles, cfg)
+    f = steering_vector(angles, cfg)
     g2 = np.abs(h @ f) ** 2
     ceiling = g2[0, 0] / (g2[0, 1] + g2[0, 2])
     high_snr = sinr(se_from_gains(g2, 1e9)[0])
@@ -495,8 +499,6 @@ def test_estimate_fields():
     assert est.n_trials == 300
     assert est.n_resampled == 0
     assert est.std_error > 0
-    assert len(est.per_user_mean) == 2
-    assert est.mean == pytest.approx(np.mean(est.per_user_mean))
 
 
 def test_invalid_parameters():
@@ -560,7 +562,7 @@ def test_kernel_equivariant_under_user_permutation(cell, scheme, rho, random):
         return aods[perm], gains[perm]
 
     # first attempts come from the block, redraws from sample_path_params
-    aods, gains = draw_block(seed, n_users, count, start)
+    aods, gains = sample_path_params(child_rng(seed, n_users, start), n_users, count)
     with mock.patch.object(semetrics, "sample_path_params", permuted_draw):
         permuted, _ = kernel_se(cfg, n_users, scheme, rho, seed, start, count,
                                 block=(aods[:, perm], gains[:, perm]))
