@@ -92,7 +92,9 @@ def test_snr_point_roundtrip():
     lambda: SnrPoint(float("nan")),
     lambda: SnrPoint(float("inf")),
     lambda: SnrPoint.from_db(4000.0),
-], ids=["db-nan", "db-inf", "db-minus-inf", "linear-nan", "linear-inf", "db-overflow"])
+    lambda: SnrPoint(rho_linear=float("nan")),
+], ids=["db-nan", "db-inf", "db-minus-inf", "linear-nan", "linear-inf", "db-overflow",
+        "direct-nan"])
 def test_snr_point_rejects_non_finite(make):
     with pytest.raises(ValueError):
         make()
