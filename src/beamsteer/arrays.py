@@ -30,8 +30,11 @@ class ArrayConfig:
     def __post_init__(self):
         if not isinstance(self.n_tx, (int, np.integer)) or self.n_tx < 1:
             raise ValueError(f"n_tx must be a positive integer, got {self.n_tx!r}")
-        if not np.isfinite(self.spacing) or self.spacing <= 0:
-            raise ValueError(f"spacing must be a positive real, got {self.spacing!r}")
+        # the largest phase formed, 4 pi d n_tx, must be finite (int <= float is exact)
+        if not (self.spacing > 0 and
+                self.n_tx <= float(np.finfo(float).max) / (4.0 * np.pi * float(self.spacing))):
+            raise ValueError(f"spacing must be a positive real whose phase span 4 pi d n_tx "
+                             f"is finite, got {self.spacing!r} at n_tx = {self.n_tx}")
 
 
 def phase_progression(phi: float, config: ArrayConfig) -> float:

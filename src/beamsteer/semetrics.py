@@ -13,21 +13,26 @@ stream keyed by the seed (the layout is in ``channel``), so a chunk of trials
 [s, s + count) is one ``sample_path_params(child_rng(seed, K, s), K, count)``
 call.  One block serves every cell of a run: ``experiment`` draws it once
 per (seed, K) and hands it to each (n_tx, scheme) cell's
-``run_monte_carlo``.  The gain stage turns a block into the gains
-|h_k f_i|^2 of one cell, chunk by chunk in the calling process, and reduces
+``run_monte_carlo``.  The gain stage turns a block into the per-stream
+signal |h_k f_k|^2 and interference sum_{i != k} |h_k f_i|^2 of one cell,
+two (trials, K) arrays, chunk by chunk in the calling process, and reduces
 them at every SNR point.
 
 The gain stage is rho-free and works on K x K arrays alone.  In the pure-LoS
-model the equivalent channel of a trial is H_hat = sqrt(N) diag(g) G, where
-G = A^H A is the closed-form (Dirichlet) Gram matrix of the users' steering
-columns, so no n_tx-long vector is built: ABS gains are |H_hat|^2,
-NoInterference keeps the diagonal N |g_k|^2, and the hybrid scheme (ZF on
-H_hat, then vector normalization) gives stream k the gain
-N |g_k|^2 / (G^{-1})_kk and no leakage, from one float64 inverse of G for the
-whole chunk.  A trial that inverse cannot be trusted for (a condition bound
-eps64 ||G||_F ||G^{-1}||_F above 5e-10, a non-positive or non-finite
-diagonal entry, or an exactly singular G, which stops the batched solve, so
-that chunk is solved trial by trial) is recomputed from its own n_tx-long
+model a trial's equivalent channel is H_hat = sqrt(N) diag(g) G, with G =
+A^H A the Gram matrix of the steering columns.  G = P^H R P, where
+P = diag(e^{j(N-1)zeta_k/2}) is unitary and R, the real, symmetric
+Dirichlet kernel of ``_gram``, has unit diagonal, so |G_ki| = |R_ki|,
+(G^-1)_kk = (R^-1)_kk and the Frobenius norms of G and G^-1 are those of R
+and R^-1: no scheme needs a complex exponential or an n_tx-long vector.
+With the power N |g_k|^2 as signal, NoInterference has no interference and
+needs no angles, and ABS has the interference N |g_k|^2 sum_{i != k}
+R_ki^2.  The hybrid scheme (ZF on H_hat, then vector normalization) has the
+signal N |g_k|^2 / (R^-1)_kk and no interference, from one real float64
+solve per chunk.  A trial that solve cannot be trusted for (a condition
+bound eps64 ||R||_F ||R^-1||_F above 5e-10, a non-positive or non-finite
+diagonal entry, or an exactly singular R, which stops the batched solve,
+so that chunk is solved trial by trial) is recomputed from its own n_tx-long
 channel rows through the extended-precision chain ``hbs_beamformer_set``,
 and a draw that chain finds singular is redrawn from the trial's next
 resample stream: the same counters under the key word of attempt 1, 2, ...
@@ -38,10 +43,9 @@ grid.  An SNR point is an ``SnrPoint``, one linear value that its
 constructor checks to be finite and positive; ``check_cell`` checks every
 other input of a cell before anything is drawn.
 
-Per-trial results come from each trial's own counters and are written into
-a (trials, K, K) gain array that is reduced in a fixed order, so the estimate
-is bit-identical regardless of worker count, chunk size, execution order or
-whether the block was shared.
+Per-trial results come from each trial's own counters and are reduced in a
+fixed order, so the estimate is bit-identical regardless of worker count,
+chunk size, execution order or whether the block was shared.
 """
 
 from __future__ import annotations
@@ -105,16 +109,18 @@ class MonteCarloEstimate:
     n_fallback: int  # trials computed by the extended-precision chain
 
 
-def se_from_gains(gains: np.ndarray, rho_lin: float) -> np.ndarray:
-    """Per-stream SE log2(1 + SINR), bits/s/Hz, from a (..., K, K) gain array.
+def se_from_gains(signal: np.ndarray, interference: np.ndarray, rho_lin: float) -> np.ndarray:
+    """Per-stream SE log2(1 + SINR), bits/s/Hz, from (..., K) arrays of
+    |h_k f_k|^2 and sum_{i != k} |h_k f_i|^2: SINR = rho s / (rho i + 1)."""
+    return np.log2(1.0 + rho_lin * signal / (rho_lin * interference + 1.0))
 
-    ``gains[..., k, i] = |h_k f_i|^2`` is the power stream i's beam delivers
-    to user k, so stream k has
-    SINR = rho g_kk / (rho sum_{i != k} g_ki + 1).  Returns shape (..., K).
-    """
-    diag = np.einsum("...kk->...k", gains)
-    interference = gains.sum(axis=-1) - diag
-    return np.log2(1.0 + rho_lin * diag / (rho_lin * interference + 1.0))
+
+def _off_diagonal_sums(m):
+    """Sums over i != k of each row k of m (..., K, K), overwriting m's diagonal;
+    the row sum minus m_kk would cancel the digits of a leakage far below it."""
+    n = m.shape[-1]
+    m[..., range(n), range(n)] = 0.0
+    return m.sum(axis=-1)
 
 
 def _los(aods, gains, config):
@@ -123,25 +129,25 @@ def _los(aods, gains, config):
 
 
 def _gram(aods, config):
-    """Gram matrices G = A^H A of the unit-norm steering columns, (..., K, K).
+    """Real Gram matrices R of the unit-norm steering columns, (..., K, K).
 
-    G_ki = a_k^H a_i is the Dirichlet kernel
-    e^{j(N-1)delta/2} sin(N delta/2) / (N sin(delta/2)) with
-    delta = zeta_i - zeta_k, evaluated at the float64 lag as it stands.
-    numpy's sine reduces its argument against pi exactly, so at a lag near
+    R_ki = sin(N delta/2) / (N sin(delta/2)), delta = zeta_i - zeta_k, at the
+    K(K-1)/2 lags i > k, mirrored (sin is odd: the bytes of the lag -delta).
+    numpy's sine reduces its argument against pi exactly, so near a lag of
     +-2 pi both sines keep their relative accuracy and the ratio does not
-    cancel (the tests check lags within 1e-12 of 2 pi); reducing the lag by
-    the float64 2 pi first would shift it by 2.4e-16, a phase error of
-    (N-1) * 1.2e-16.  Where sin(delta/2) is zero the users' columns coincide
-    and G is 1.
+    cancel.  Where sin(delta/2) is zero the users' columns coincide: R is 1.
     """
     n_tx = config.n_tx
     zeta = phase_progression(aods, config)
-    delta = zeta[..., None, :] - zeta[..., :, None]
+    n_users = zeta.shape[-1]
+    k, i = np.triu_indices(n_users, 1)
+    delta = zeta[..., i] - zeta[..., k]
     den = n_tx * np.sin(delta / 2.0)
     coincident = den == 0.0
     ratio = np.sin(n_tx * delta / 2.0) / np.where(coincident, 1.0, den)
-    return np.where(coincident, 1.0, np.exp(0.5j * (n_tx - 1) * delta) * ratio)
+    r = np.ones(zeta.shape + (n_users,))
+    r[..., k, i] = r[..., i, k] = np.where(coincident, 1.0, ratio)
+    return r
 
 
 def _draw_chunk(seed, n_users, start, count):
@@ -173,45 +179,38 @@ def draw_block(seed: int, n_users: int, trials: int, workers: int = 1):
 
 
 def _gain_chunk(aods, gains, config, scheme, seed, start):
-    """Gain stage on one chunk: gains |h_k f_i|^2 of the trials drawn as
-    (aods, gains), which are trials [start, start + len(aods)) of ``seed``.
-
-    Works on K x K arrays only: with the Gram matrix G of the steering
-    columns, the equivalent channel is H_hat = h A = sqrt(N) diag(g) G, and
-    the HBS gains come from the float64 inverse of G.
-    Returns the (count, K, K) gain block, the number of resampled draws and
-    the number of trials computed by the extended-precision chain.
-    """
-    n_tx = config.n_tx
-    count, n_users = aods.shape
-    gram = _gram(aods, config)
-    h_hat = np.sqrt(n_tx) * gains[:, :, None] * gram  # (T, K, K) equivalent channel
-    g2 = np.abs(h_hat) ** 2
+    """Gain stage on trials [start, start + len(aods)) of ``seed``, drawn as
+    (aods, gains): their (count, K) signal and interference, the number of
+    resampled draws and the number of extended-precision trials."""
+    n_users = aods.shape[1]
+    signal = config.n_tx * np.abs(gains) ** 2
+    interference = np.zeros_like(signal)
     flagged = []
-    if scheme is Scheme.NO_INTERFERENCE:
-        g2 *= np.eye(n_users)
+    if scheme is Scheme.ABS:
+        interference = signal * _off_diagonal_sums(_gram(aods, config) ** 2)
     elif scheme is Scheme.HBS:
+        gram = _gram(aods, config)
         eye = np.eye(n_users)
         try:
             inv = np.linalg.solve(gram, eye)
         except np.linalg.LinAlgError:
-            # an exactly singular G stops the batch; solve trial by trial and
+            # an exactly singular R stops the batch; solve trial by trial and
             # leave the singular trials' inverses NaN, which flags only them
             inv = np.full_like(gram, np.nan)
-            for t in range(count):
+            for t, r in enumerate(gram):
                 try:
-                    inv[t] = np.linalg.solve(gram[t], eye)
+                    inv[t] = np.linalg.solve(r, eye)
                 except np.linalg.LinAlgError:
                     pass
-        # ZF with vector normalization leaves stream k the gain
-        # N |g_k|^2 / (G^-1)_kk and no leakage: G w_i = e_i / (sqrt(N) g_i).
-        # ||G||_F ||G^-1||_F >= cond_2(G), and eps64 * cond_2 is the scale
+        # ZF with vector normalization leaves stream k the signal
+        # N |g_k|^2 / (R^-1)_kk and no leakage: G w_i = e_i / (sqrt(N) g_i).
+        # ||R||_F ||R^-1||_F >= cond_2(R), and eps64 * cond_2 is the scale
         # of the float64 solve's forward error.  A non-finite inverse fails it.
-        inv_diag = np.einsum("tkk->tk", inv).real
+        inv_diag = np.diagonal(inv, axis1=1, axis2=2)
         cond = np.linalg.norm(gram, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
         good = (_EPS64 * cond <= _FORWARD_TOL) & (inv_diag > 0.0).all(axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
-            g2 = (n_tx * np.abs(gains) ** 2 / inv_diag)[:, :, None] * eye
+            signal /= inv_diag
         flagged = np.nonzero(~good)[0]
 
     n_resampled = 0
@@ -228,11 +227,13 @@ def _gain_chunk(aods, gains, config, scheme, seed, start):
             except (SingularEquivalentChannel, DegeneratePrecoder):
                 n_resampled += 1
                 continue
-            g2[i] = np.abs(h @ f) ** 2
+            g2 = np.abs(h @ f) ** 2
+            signal[i] = np.diagonal(g2)
+            interference[i] = _off_diagonal_sums(g2)
             break
         else:
             raise RuntimeError("resample limit exceeded; check channel statistics")
-    return g2, n_resampled, len(flagged)
+    return signal, interference, n_resampled, len(flagged)
 
 
 def check_cell(config: ArrayConfig, n_users: int, scheme: Scheme, snrs, trials: int):
@@ -274,18 +275,14 @@ def run_monte_carlo(config: ArrayConfig, n_users: int, scheme: Scheme, snrs,
         raise ValueError(f"block holds {aods.shape} draws, not (trials, n_users) = "
                          f"{(trials, n_users)}")
 
-    g2 = np.empty((trials, n_users, n_users))
-    n_resampled = n_fallback = 0
-    for s in range(0, trials, _CHUNK):
-        chunk, resampled, fallback = _gain_chunk(aods[s:s + _CHUNK], gains[s:s + _CHUNK],
-                                                 config, scheme, seed, s)
-        g2[s:s + chunk.shape[0]] = chunk
-        n_resampled += resampled
-        n_fallback += fallback
+    parts = list(zip(*(_gain_chunk(aods[s:s + _CHUNK], gains[s:s + _CHUNK], config, scheme,
+                                   seed, s) for s in range(0, trials, _CHUNK))))
+    signal, interference = np.concatenate(parts[0]), np.concatenate(parts[1])
+    n_resampled, n_fallback = sum(parts[2]), sum(parts[3])
 
     estimates = []
     for rho in snrs:
-        flat = se_from_gains(g2, rho.rho_linear).ravel()
+        flat = se_from_gains(signal, interference, rho.rho_linear).ravel()
         std = flat.std(ddof=1) if flat.size > 1 else 0.0
         estimates.append(MonteCarloEstimate(
             mean=float(flat.mean()),

@@ -58,6 +58,7 @@ def test_vectorized_angles_match_scalar():
     {"n_tx": 0}, {"n_tx": -3}, {"n_tx": 2.5},
     {"n_tx": 4, "spacing": 0.0}, {"n_tx": 4, "spacing": -1.0},
     {"n_tx": 4, "spacing": float("nan")},
+    {"n_tx": 8, "spacing": 1e308},  # phases overflow to inf
 ])
 def test_invalid_config_rejected(kwargs):
     with pytest.raises(ValueError):

@@ -270,7 +270,7 @@ def test_bounds_non_positive_nbeams_exit_one(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("spacing", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("spacing", ["nan", "inf", "0", "-1", "1e308"])
 def test_bounds_bad_spacing_exit_one(tmp_path, capsys, spacing):
     out = tmp_path / "b.csv"
     assert main(["bounds", "--spacing", spacing, "--out", str(out)]) == 1
@@ -278,6 +278,16 @@ def test_bounds_bad_spacing_exit_one(tmp_path, capsys, spacing):
     # one beam evaluates no saturation bound, and the spacing is still checked
     assert main(["bounds", "--nbeams", "1", "--spacing", spacing, "--out", str(out)]) == 1
     assert "spacing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_overflowing_spacing_exit_one(tmp_path, capsys):
+    # a finite spacing whose phases 4 pi d n_tx overflow gave NaN rows
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--ntx", "8", "--spacing", "1e308", "--trials", "10", "--no-bounds",
+            "--snr-db", "0", "--out", str(out)]
+    assert main(argv) == 1
+    assert "phase span 4 pi d n_tx" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -61,14 +61,23 @@ def dense_se(cfg, n_users, scheme, rho, seed, start, count):
 
 
 def kernel_se(cfg, n_users, scheme, rho, seed, start, count, block=None):
-    """The rho-free kernel's (count, K, K) gains reduced to SE at ``rho``.
+    """The rho-free kernel's (count, K) signal and interference reduced to SE
+    at ``rho``.
 
     The gain stage runs on ``block``, by default the draws of trials
     [start, start + count), one generator call as the draw stage makes it.
     """
     aods, gains = block or sample_path_params(child_rng(seed, n_users, start), n_users, count)
-    g2, resampled, _ = _gain_chunk(aods, gains, cfg, Scheme(scheme), seed, start)
-    return se_from_gains(g2, rho), resampled
+    signal, interference, resampled, _ = _gain_chunk(aods, gains, cfg, Scheme(scheme), seed,
+                                                     start)
+    return se_from_gains(signal, interference, rho), resampled
+
+
+def split(g2):
+    """(signal, interference) of dense gains g2[..., k, i] = |h_k f_i|^2: the
+    diagonal, and each row's sum over its off-diagonal entries alone."""
+    off = ~np.eye(g2.shape[-1], dtype=bool)
+    return np.diagonal(g2, axis1=-2, axis2=-1), np.where(off, g2, 0.0).sum(axis=-1)
 
 
 def sinr(se):
@@ -103,7 +112,7 @@ def test_snr_point_rejects_non_finite(make):
 def test_sinr_single_stream_no_interference():
     h = np.array([[2.0 + 0j]])
     f = np.array([[1.0 + 0j]])
-    assert sinr(se_from_gains(np.abs(h @ f) ** 2, 1.0)[0]) == pytest.approx(4.0)
+    assert sinr(se_from_gains(*split(np.abs(h @ f) ** 2), 1.0)[0]) == pytest.approx(4.0)
 
 
 def test_sinr_identical_users_saturates_at_one():
@@ -111,7 +120,7 @@ def test_sinr_identical_users_saturates_at_one():
     h_row = los_channel(PathParams(1.0, 0.4), cfg)
     h = np.stack([h_row, h_row])
     f = np.stack([np.ones(8), np.ones(8)], axis=1) / np.sqrt(8)
-    se = se_from_gains(np.abs(h @ f) ** 2, 1e12)
+    se = se_from_gains(*split(np.abs(h @ f) ** 2), 1e12)
     assert sinr(se[0]) == pytest.approx(1.0, rel=1e-9)
 
 
@@ -120,7 +129,7 @@ def test_sinr_matches_direct_formula():
     h = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
     f = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
     rho = 7.5
-    se = se_from_gains(np.abs(h @ f) ** 2, rho)
+    se = se_from_gains(*split(np.abs(h @ f) ** 2), rho)
     for k in range(3):
         num = rho * abs(h[k] @ f[:, k]) ** 2
         den = rho * sum(abs(h[k] @ f[:, i]) ** 2 for i in range(3) if i != k) + 1
@@ -129,9 +138,9 @@ def test_sinr_matches_direct_formula():
 
 def test_se_values():
     for sinr_value, se in ((0.0, 0.0), (1.0, 1.0), (3.0, 2.0)):
-        assert se_from_gains(np.array([[sinr_value]]), 1.0)[0] == pytest.approx(se)
+        assert se_from_gains(*split(np.array([[sinr_value]])), 1.0)[0] == pytest.approx(se)
     # batched over leading axes
-    stacked = se_from_gains(np.array([[[0.0]], [[1.0]], [[3.0]]]), 1.0)
+    stacked = se_from_gains(*split(np.array([[[0.0]], [[1.0]], [[3.0]]])), 1.0)
     assert stacked.shape == (3, 1)
     assert stacked[:, 0] == pytest.approx([0.0, 1.0, 2.0])
 
@@ -179,7 +188,7 @@ def test_block_cross_correlation_matches_closed_form():
     # the mean |G_12|^2 of the draw stage's angles is E|a(phi1)^H a(phi2)|^2
     aods, _ = draw_block(2026, 2, 50000)
     for n_tx in (16, 32, 128):
-        c = np.abs(_gram(aods, ArrayConfig(n_tx))[:, 0, 1]) ** 2
+        c = _gram(aods, ArrayConfig(n_tx))[:, 0, 1] ** 2
         expected = cross_correlation_expectation(n_tx, 0.5)
         assert abs(c.mean() - expected) <= 4 * c.std(ddof=1) / np.sqrt(c.size)
 
@@ -234,7 +243,14 @@ def test_gram_matches_steering_products(n_tx, spacing):
     steer = steering_vector(aods, cfg)
     dense = steer.conj().T @ steer
     gram = _gram(aods, cfg)
-    assert np.abs(gram - dense).max() <= 10 * n_tx * np.finfo(float).eps
+    # G_ki = e^{j(N-1)delta/2} R_ki with delta = zeta_i - zeta_k
+    zeta = phase_progression(aods, cfg)
+    phase = np.exp(0.5j * (n_tx - 1) * (zeta[None, :] - zeta[:, None]))
+    assert np.abs(phase * gram - dense).max() <= 10 * n_tx * np.finfo(float).eps
+    # R is real and exactly symmetric, with a unit diagonal
+    assert gram.dtype == np.float64
+    assert np.array_equal(gram, gram.T)
+    assert np.array_equal(np.diagonal(gram), np.ones(len(aods)))
     # batched over leading axes
     assert np.array_equal(_gram(np.stack([aods, aods[::-1]]), cfg)[1],
                           gram[::-1, ::-1])
@@ -261,15 +277,18 @@ def extended_dense_gains(cfg, aods, gains):
 
 def test_large_array_kernel_matches_dense_reference():
     # 64 trials of the (T, n_tx, K) steering array at n_tx = 65536 would take
-    # 340 MB; the Gram kernel holds only (T, K, K) arrays.
+    # 340 MB; the Gram kernel holds only (T, K, K) arrays.  The leakage is
+    # some 1e-5 of the signal here, so the reference sums the off-diagonal
+    # gains alone: a row sum minus the diagonal is off by 1.4e-8 on trial 52.
     cfg = ArrayConfig(65536, 0.5)
     abs_se, abs_resampled = kernel_se(cfg, 5, Scheme.ABS, 316.0, 2026, 0, 64)
     free_se, free_resampled = kernel_se(cfg, 5, Scheme.NO_INTERFERENCE, 316.0, 2026, 0, 64)
     assert abs_resampled == free_resampled == 0
     for t in range(64):
         g2 = extended_dense_gains(cfg, *sample_path_params(child_rng(2026, 5, t), 5))
-        assert np.abs(abs_se[t] - se_from_gains(g2, 316.0)).max() <= 1e-9
-        assert np.abs(free_se[t] - se_from_gains(g2 * np.eye(5), 316.0)).max() <= 1e-9
+        signal, interference = split(g2)
+        assert np.abs(abs_se[t] - se_from_gains(signal, interference, 316.0)).max() <= 1e-9
+        assert np.abs(free_se[t] - se_from_gains(signal, 0.0, 316.0)).max() <= 1e-9
 
 
 def extended_gram(aods, cfg):
@@ -325,27 +344,29 @@ def test_hbs_kernel_matches_extended_gram_reference():
 
 
 def test_singular_trial_flags_only_itself():
-    # Trial 5's two users coincide, so its Gram matrix is exactly singular and
-    # stops the chunk's batched solve.  Only that trial goes to the
-    # extended-precision chain, which redraws it; every other trial keeps the
-    # gains the batched solve gives it without trial 5's change.
+    # Trial 5's two users coincide, so its real Gram matrix R is exactly
+    # singular and stops the chunk's batched solve.  Only that trial goes to
+    # the extended-precision chain, which redraws it; every other trial keeps
+    # the signal and interference the batched solve gives it without trial
+    # 5's change.
     cfg = ArrayConfig(16, 0.5)
     clean = draw_block(2026, 2, 64)
-    clean_g2, _, clean_flagged = _gain_chunk(*clean, cfg, Scheme.HBS, 2026, 0)
+    *clean_gains, _, clean_flagged = _gain_chunk(*clean, cfg, Scheme.HBS, 2026, 0)
     assert clean_flagged == 0
     aods = clean[0].copy()
     aods[5, 1] = aods[5, 0]
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(_gram(aods, cfg), np.eye(2))
-    g2, resampled, flagged = _gain_chunk(aods, clean[1], cfg, Scheme.HBS, 2026, 0)
+    *gains, resampled, flagged = _gain_chunk(aods, clean[1], cfg, Scheme.HBS, 2026, 0)
     assert (resampled, flagged) == (1, 1)
     others = np.arange(64) != 5
-    assert g2[others].tobytes() == clean_g2[others].tobytes()
+    for got, want in zip(gains, clean_gains):
+        assert got[others].tobytes() == want[others].tobytes()
 
 
 def test_per_trial_solve_equals_batched_solve():
-    # the gain stage's trial-by-trial solve of a chunk that holds a singular
-    # trial gives the other trials the batched solve's bytes
+    # the gain stage's trial-by-trial real solve of a chunk that holds a
+    # singular trial gives the other trials the batched solve's bytes
     gram = _gram(draw_block(2026, 5, semetrics._CHUNK)[0], ArrayConfig(32, 0.5))
     eye = np.eye(5)
     batched = np.linalg.solve(gram, eye)
@@ -450,7 +471,7 @@ def test_monotone_in_snr_for_interference_free_schemes():
     f = hbs_beamformer_set(h, angles, cfg)
     prev = -1.0
     for rho_db in np.arange(-10, 41, 1.0):
-        se = se_from_gains(np.abs(h @ f) ** 2,
+        se = se_from_gains(*split(np.abs(h @ f) ** 2),
                            SnrPoint.from_db(rho_db).rho_linear)[0]
         assert se >= prev
         prev = se
@@ -465,7 +486,7 @@ def test_abs_high_snr_ceiling_per_realization():
     f = steering_vector(angles, cfg)
     g2 = np.abs(h @ f) ** 2
     ceiling = g2[0, 0] / (g2[0, 1] + g2[0, 2])
-    high_snr = sinr(se_from_gains(g2, 1e9)[0])
+    high_snr = sinr(se_from_gains(*split(g2), 1e9)[0])
     assert abs(high_snr - ceiling) / ceiling < 1e-6
 
 
@@ -482,7 +503,7 @@ def test_hbs_equals_own_zero_interference_se():
         g2 = np.abs(h @ f) ** 2
         for rho_db in (0.0, 30.0, 60.0):
             rho = SnrPoint.from_db(rho_db)
-            full = se_from_gains(g2, rho.rho_linear)[0]
+            full = se_from_gains(*split(g2), rho.rho_linear)[0]
             no_int = np.log2(1 + rho.rho_linear * abs(h[0] @ f[:, 0]) ** 2)
             assert abs(full - no_int) < 1e-6
 
