@@ -9,7 +9,6 @@ Log-Rayleigh approximation of the zero-forcing hybrid scheme's SE.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,13 +27,6 @@ for _m in range(1, 26):
     _HANKEL_C.append(_HANKEL_C[-1] * (2 * _m - 1) ** 2 / (_m * 8.0))
 
 _SERIES_CUTOFF = 12.0
-
-
-@dataclass(frozen=True)
-class BoundResult:
-    """Evaluated closed-form bound, bits/s/Hz."""
-
-    value: float
 
 
 def _j0_series(x):
@@ -100,8 +92,8 @@ def cross_correlation_expectation(n_tx: int, spacing: float) -> float:
     return _interference_sum(n_tx, spacing) / n_tx
 
 
-def abs_saturation_bound(n_tx: int, spacing: float, n_users: int) -> BoundResult:
-    """High-SNR saturation level of the analog scheme's per-stream SE.
+def abs_saturation_bound(n_tx: int, spacing: float, n_users: int) -> float:
+    """High-SNR saturation level of the analog scheme's per-stream SE, b/s/Hz.
 
     log2(1 + n_tx^2 / ((K-1)^2 S)); the K = 2 case is the single-interferer
     specialization.
@@ -109,7 +101,7 @@ def abs_saturation_bound(n_tx: int, spacing: float, n_users: int) -> BoundResult
     if n_users < 2:
         raise ValueError("saturation bound needs at least one interferer (K >= 2)")
     s = _interference_sum(n_tx, spacing)
-    return BoundResult(value=math.log2(1.0 + n_tx**2 / ((n_users - 1) ** 2 * s)))
+    return math.log2(1.0 + n_tx**2 / ((n_users - 1) ** 2 * s))
 
 
 def log_rayleigh_mean(scale_arg: float) -> float:
@@ -120,15 +112,19 @@ def log_rayleigh_mean(scale_arg: float) -> float:
     return math.log(scale_arg) + math.log(2.0) / 2.0 - EULER_GAMMA / 2.0
 
 
-def hbs_se_approx(rho, n_tx: int) -> BoundResult:
-    """Log-Rayleigh approximation of the hybrid scheme's per-stream SE.
+def hbs_se_approx(rho, n_tx: int) -> float:
+    """Log-Rayleigh approximation of the hybrid scheme's per-stream SE, b/s/Hz.
 
     (2/ln 2) * E[ln(sqrt(rho*n_tx)|alpha|)] with |alpha| Rayleigh(DEFAULT_SIGMA).
     Tight for rho*n_tx >> 1; undershoots at low SNR.  ``rho`` is an
-    ``SnrPoint`` or a linear SNR; both inputs get the simulation's checks.
+    ``SnrPoint`` or a linear SNR; both inputs get the simulation's checks,
+    and a rho * n_tx that overflows float64 raises ``ValueError``.
     """
     rho_lin = (rho if isinstance(rho, SnrPoint) else SnrPoint(float(rho))).rho_linear
     config = ArrayConfig(n_tx)
     value = 2.0 / math.log(2.0) * log_rayleigh_mean(
         math.sqrt(rho_lin * config.n_tx) * DEFAULT_SIGMA)
-    return BoundResult(value=value)
+    if not math.isfinite(value):
+        raise ValueError(f"HBS approximation at SNR {10.0 * math.log10(rho_lin):.6g} dB is "
+                         f"not finite: rho * n_tx overflows float64")
+    return value

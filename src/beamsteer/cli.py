@@ -27,8 +27,8 @@ VALIDATION_FAILED = 2
 SNR_GRID_MAX = 10000
 
 
-class UsageError(Exception):
-    pass
+class UsageError(argparse.ArgumentTypeError):
+    """Bad command-line input; as a flag's ``type=`` error argparse prefixes the flag."""
 
 
 def parse_snr_spec(spec: str):
@@ -122,45 +122,46 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p, with_grid=True):
-    if with_grid:
-        p.add_argument("--ntx", help="comma list of transmit antenna counts")
-        p.add_argument("--nbeams", type=positive_int,
-                       help="number of beams (= users = RF chains)")
-        p.add_argument("--snr-db", dest="snr_db", help="SNR grid, 'a,b,c' or 'start:step:stop'")
-        p.add_argument("--spacing", type=float, help="element spacing in wavelengths")
-        p.add_argument("--schemes", help="comma subset of ABS,HBS,NoInterference")
-    p.add_argument("--trials", type=positive_int,
-                   help=f"Monte Carlo trials (default {DEFAULT_TRIALS})")
-    p.add_argument("--seed", type=int, help=f"master RNG seed (default {DEFAULT_SEED})")
-    p.add_argument("--out", help="output CSV path (default: stdout)")
-    p.add_argument("--threads", type=positive_int, default=1, help="worker processes (default 1)")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # Parent parsers: each input is declared once, with its parse function
+    # and its default, and the commands take the groups they use.
+    snr = _Parser(add_help=False)
+    snr.add_argument("--snr-db", dest="snr_db", type=parse_snr_spec, default=DEFAULT_SNR_GRID,
+                     help="SNR grid in dB, 'a,b,c' or 'start:step:stop' (default -10:5:30); "
+                          "a value starting with '-' needs the '=' form: --snr-db=-10:5:30")
+    grid = _Parser(add_help=False, parents=[snr])
+    grid.add_argument("--ntx", type=parse_int_list, default=(32,),
+                      help="comma list of transmit antenna counts (default 32)")
+    grid.add_argument("--nbeams", type=positive_int, default=2,
+                      help="number of beams (= users = RF chains, default 2)")
+    grid.add_argument("--spacing", type=float, default=0.5,
+                      help="element spacing in wavelengths (default 0.5)")
+    run = _Parser(add_help=False)
+    run.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS,
+                     help=f"Monte Carlo trials (default {DEFAULT_TRIALS})")
+    run.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                     help=f"master RNG seed (default {DEFAULT_SEED})")
+    run.add_argument("--threads", type=positive_int, default=1,
+                     help="worker processes (default 1)")
+    out = _Parser(add_help=False)
+    out.add_argument("--out", help="output CSV path (default: stdout)")
+
     parser = _Parser(prog="beamsteer", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sweep", help="simulate a configurable grid")
+    p = sub.add_parser("sweep", parents=[grid, run, out], help="simulate a configurable grid")
+    p.add_argument("--schemes", type=parse_schemes, default=(Scheme.ABS,),
+                   help="comma subset of ABS,HBS,NoInterference (default ABS)")
     p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--no-bounds", action="store_true", help="omit bound rows")
-    _add_common(p)
-
-    p = sub.add_parser("validate", help="check simulation-vs-bound gaps")
-    _add_common(p, with_grid=False)
-
-    p = sub.add_parser("bounds", help="closed-form bounds only, no simulation")
-    p.add_argument("--ntx", help="comma list of transmit antenna counts")
-    p.add_argument("--nbeams", type=positive_int, help="number of beams")
-    p.add_argument("--snr-db", dest="snr_db", help="SNR grid for the hybrid approximation")
-    p.add_argument("--spacing", type=float, help="element spacing in wavelengths")
-    p.add_argument("--out", help="output CSV path (default: stdout)")
-
+    p.set_defaults(run=_run_sweep)
+    sub.add_parser("validate", parents=[run], help="check simulation-vs-bound gaps"
+                   ).set_defaults(run=_run_validate)
+    sub.add_parser("bounds", parents=[grid, out], help="closed-form bounds only, no simulation"
+                   ).set_defaults(run=_run_bounds)
     for name in ("figure1", "figure2", "figure3", "figure4"):
-        p = sub.add_parser(name, help=f"reproduce the {name} scenario")
-        _add_common(p, with_grid=False)
-        p.add_argument("--snr-db", dest="snr_db", help="override the preset SNR grid")
+        sub.add_parser(name, parents=[snr, run, out], help=f"reproduce the {name} scenario"
+                       ).set_defaults(run=_run_figure)
     return parser
 
 
@@ -171,77 +172,54 @@ def _emit(rows, out_path):
         sys.stdout.write(rows_to_csv(rows))
 
 
-def _pick(args, cfg_file, key, parse, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return parse(value) if isinstance(value, str) else value
-    if key in cfg_file:
-        return parse(cfg_file[key])
-    return default
-
-
 def _run_sweep(args) -> int:
-    cfg_file = load_config_file(args.config) if args.config else {}
-    cfg = ExperimentConfig(
-        n_tx_list=_pick(args, cfg_file, "ntx", parse_int_list, (32,)),
-        n_beams=int(_pick(args, cfg_file, "nbeams", int, 2)),
-        snr_db_grid=_pick(args, cfg_file, "snr_db", parse_snr_spec, DEFAULT_SNR_GRID),
-        trials=int(_pick(args, cfg_file, "trials", int, DEFAULT_TRIALS)),
-        seed=int(_pick(args, cfg_file, "seed", int, DEFAULT_SEED)),
-        spacing=float(_pick(args, cfg_file, "spacing", float, 0.5)),
-        schemes=_pick(args, cfg_file, "schemes", parse_schemes, (Scheme.ABS,)),
-        bounds=not args.no_bounds,
-    )
+    cfg = ExperimentConfig(n_tx_list=args.ntx, n_beams=args.nbeams, snr_db_grid=args.snr_db,
+                           trials=args.trials, seed=args.seed, spacing=args.spacing,
+                           schemes=args.schemes, bounds=not args.no_bounds)
     _emit(run_sweep(cfg, workers=args.threads), args.out)
     return 0
 
 
 def _run_bounds(args) -> int:
-    n_tx_list = parse_int_list(args.ntx) if args.ntx else (32,)
-    n_beams = args.nbeams if args.nbeams is not None else 2
-    grid = parse_snr_spec(args.snr_db) if args.snr_db else DEFAULT_SNR_GRID
-    spacing = args.spacing if args.spacing is not None else 0.5
     rows = []
-    for n_tx in n_tx_list:
-        config = ArrayConfig(n_tx, spacing)  # the array checks sweep applies
-        rows.extend(bound_rows(config.n_tx, n_beams, config.spacing, grid))
+    for n_tx in args.ntx:
+        config = ArrayConfig(n_tx, args.spacing)  # the array checks sweep applies
+        rows.extend(bound_rows(config.n_tx, args.nbeams, config.spacing, args.snr_db))
     _emit(rows, args.out)
     return 0
 
 
 def _run_validate(args) -> int:
-    checks = run_validation(trials=args.trials or DEFAULT_TRIALS,
-                            seed=args.seed if args.seed is not None else DEFAULT_SEED,
-                            workers=args.threads)
+    checks = run_validation(trials=args.trials, seed=args.seed, workers=args.threads)
     print(format_validation_report(checks))
     return 0 if all(c.passed for c in checks) else VALIDATION_FAILED
 
 
 def _run_figure(args) -> int:
-    grid = parse_snr_spec(args.snr_db) if args.snr_db else DEFAULT_SNR_GRID
-    rows = run_figure(args.command,
-                      trials=args.trials or DEFAULT_TRIALS,
-                      seed=args.seed if args.seed is not None else DEFAULT_SEED,
-                      snr_db_grid=grid, workers=args.threads)
+    rows = run_figure(args.command, trials=args.trials, seed=args.seed,
+                      snr_db_grid=args.snr_db, workers=args.threads)
     _emit(rows, args.out)
     return 0
 
 
+def _parse(parser, argv):
+    """Parse argv; a sweep's --config file is read as ``--key=value`` flags
+    placed before the command line's own, so the flags override it (the last
+    value wins) and its values get the flags' checks."""
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        file_flags = [f"--{key.replace('_', '-')}={value}"
+                      for key, value in load_config_file(args.config).items()]
+        args = parser.parse_args(argv[:1] + file_flags + argv[1:])
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        if args.command == "sweep":
-            return _run_sweep(args)
-        if args.command == "validate":
-            return _run_validate(args)
-        if args.command == "bounds":
-            return _run_bounds(args)
-        return _run_figure(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (OSError, ValueError) as exc:
+        args = _parse(build_parser(), argv)
+        return args.run(args)
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -86,15 +86,15 @@ def bound_rows(n_tx: int, n_beams: int, spacing: float, snr_db_grid,
     """
     rows = []
     if include_saturation and n_beams >= 2:
-        b = abs_saturation_bound(n_tx, spacing, n_beams)
         rows.append(ResultRow(snr_db=None, n_tx=n_tx, n_beams=n_beams,
-                              label=ABS_SATURATION_LABEL, se_mean=b.value,
+                              label=ABS_SATURATION_LABEL,
+                              se_mean=abs_saturation_bound(n_tx, spacing, n_beams),
                               se_stderr=None, n_resampled=None))
     if include_hbs:
         for snr_db in snr_db_grid:
-            b = hbs_se_approx(SnrPoint.from_db(snr_db), n_tx)
             rows.append(ResultRow(snr_db=snr_db, n_tx=n_tx, n_beams=n_beams,
-                                  label=HBS_APPROX_LABEL, se_mean=b.value,
+                                  label=HBS_APPROX_LABEL,
+                                  se_mean=hbs_se_approx(SnrPoint.from_db(snr_db), n_tx),
                                   se_stderr=None, n_resampled=None))
     return rows
 
@@ -204,7 +204,7 @@ def run_validation(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
 
     # Figure 1: analog saturation, K = 2.
     for n_tx in (16, 32, 128):
-        bound = abs_saturation_bound(n_tx, 0.5, 2).value
+        bound = abs_saturation_bound(n_tx, 0.5, 2)
         se30, se25 = se[n_tx, 2, Scheme.ABS]
         checks.append(ValidationCheck("figure1", f"ABS gap to saturation, n_tx={n_tx}",
                                       abs(se30 - bound), 0.0, 0.2))
@@ -213,30 +213,30 @@ def run_validation(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
 
     # Figure 2: hybrid vs Log-Rayleigh approximation, K = 2.
     for n_tx, (lo, hi) in fig2_windows.items():
-        approx = hbs_se_approx(SnrPoint.from_db(30.0), n_tx).value
+        approx = hbs_se_approx(SnrPoint.from_db(30.0), n_tx)
         checks.append(ValidationCheck("figure2", f"HBS gap to approx, n_tx={n_tx}",
                                       abs(se[n_tx, 2, Scheme.HBS][0] - approx), lo, hi))
 
     # Figure 3: n_tx = 32, multiple beam counts.
     fig3_abs = {}
     for n_beams, (lo, hi) in fig3_windows.items():
-        bound = abs_saturation_bound(32, 0.5, n_beams).value
+        bound = abs_saturation_bound(32, 0.5, n_beams)
         fig3_abs[n_beams] = abs(se[32, n_beams, Scheme.ABS][0] - bound)
         checks.append(ValidationCheck("figure3", f"ABS gap to saturation, n_beams={n_beams}",
                                       fig3_abs[n_beams], lo, hi))
-    approx = hbs_se_approx(SnrPoint.from_db(30.0), 32).value
+    approx = hbs_se_approx(SnrPoint.from_db(30.0), 32)
     fig3_hbs = abs(se[32, 5, Scheme.HBS][0] - approx)
     checks.append(ValidationCheck("figure3", "HBS gap to approx, n_beams=5",
                                   fig3_hbs, 0.7, 1.3))
 
     # Figure 4: n_tx = 128, n_beams = 5; both gaps shrink vs figure 3.
-    approx = hbs_se_approx(SnrPoint.from_db(30.0), 128).value
+    approx = hbs_se_approx(SnrPoint.from_db(30.0), 128)
     fig4_hbs = abs(se[128, 5, Scheme.HBS][0] - approx)
     checks.append(ValidationCheck("figure4", "HBS gap to approx",
                                   fig4_hbs, 0.05, 0.35))
     checks.append(ValidationCheck("figure4", "HBS gap shrinks vs n_tx=32",
                                   fig4_hbs, 0.0, fig3_hbs))
-    bound = abs_saturation_bound(128, 0.5, 5).value
+    bound = abs_saturation_bound(128, 0.5, 5)
     fig4_abs = abs(se[128, 5, Scheme.ABS][0] - bound)
     checks.append(ValidationCheck("figure4", "ABS gap to saturation",
                                   fig4_abs, 0.0, 0.2))

@@ -257,7 +257,8 @@ def run_monte_carlo(config: ArrayConfig, n_users: int, scheme: Scheme, snrs,
     """Monte Carlo estimates of the expected per-stream SE over an SNR grid.
 
     ``snrs`` is a non-empty sequence of ``SnrPoint`` or linear SNRs, each
-    finite and positive.  The trials are simulated once and every point is
+    finite and positive; a point at which rho times a gain overflows float64
+    raises ``ValueError``.  The trials are simulated once and every point is
     reduced from the same gains; the result holds one ``MonteCarloEstimate``
     per point, in the given order.  Streams of one trial are exchangeable
     under i.i.d. user statistics, so each estimate averages over trials and
@@ -282,7 +283,14 @@ def run_monte_carlo(config: ArrayConfig, n_users: int, scheme: Scheme, snrs,
 
     estimates = []
     for rho in snrs:
-        flat = se_from_gains(signal, interference, rho.rho_linear).ravel()
+        # A finite rho can still overflow rho * N |g|^2, which gives a non-finite
+        # SE, or only the rho * interference of a stream, whose SE then reads 0.
+        try:
+            with np.errstate(over="raise"):
+                flat = se_from_gains(signal, interference, rho.rho_linear).ravel()
+        except FloatingPointError:
+            raise ValueError(f"SE at SNR {10.0 * np.log10(rho.rho_linear):.6g} dB cannot be "
+                             f"computed: rho * n_tx |g|^2 overflows float64") from None
         std = flat.std(ddof=1) if flat.size > 1 else 0.0
         estimates.append(MonteCarloEstimate(
             mean=float(flat.mean()),

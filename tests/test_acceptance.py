@@ -135,8 +135,8 @@ def test_criterion_6_zf_exactness():
 
 
 def test_criterion_7_hbs_slope():
-    d1 = hbs_se_approx(2e3, 128).value - hbs_se_approx(1e3, 128).value
-    d2 = hbs_se_approx(1e3, 256).value - hbs_se_approx(1e3, 128).value
+    d1 = hbs_se_approx(2e3, 128) - hbs_se_approx(1e3, 128)
+    d2 = hbs_se_approx(1e3, 256) - hbs_se_approx(1e3, 128)
     exact_ok = abs(d1 - 1.0) <= 1e-9 and abs(d2 - 1.0) <= 1e-9
     ok = _report("criterion 7 (approx doubling slope)", exact_ok,
                  f"rho-doubling {d1:.12f}, n_tx-doubling {d2:.12f}")

@@ -110,21 +110,20 @@ def test_spacing_must_be_positive_and_finite(spacing):
 
 
 def test_saturation_bound_single_antenna():
-    b = abs_saturation_bound(1, 0.5, 2)
-    assert b.value == pytest.approx(1.0)
+    assert abs_saturation_bound(1, 0.5, 2) == pytest.approx(1.0)
 
 
 def test_saturation_bound_k_scaling():
     b2 = abs_saturation_bound(32, 0.5, 2)
     b3 = abs_saturation_bound(32, 0.5, 3)
-    arg2 = 2**b2.value - 1
-    assert b3.value == pytest.approx(np.log2(1 + arg2 / 4), abs=1e-12)
+    arg2 = 2**b2 - 1
+    assert b3 == pytest.approx(np.log2(1 + arg2 / 4), abs=1e-12)
 
 
 def test_saturation_bound_monotonicity():
-    values_n = [abs_saturation_bound(n, 0.5, 2).value for n in (2, 4, 8, 16, 32, 128)]
+    values_n = [abs_saturation_bound(n, 0.5, 2) for n in (2, 4, 8, 16, 32, 128)]
     assert all(b > a for a, b in zip(values_n, values_n[1:]))
-    values_k = [abs_saturation_bound(32, 0.5, k).value for k in (2, 3, 4, 5, 8)]
+    values_k = [abs_saturation_bound(32, 0.5, k) for k in (2, 3, 4, 5, 8)]
     assert all(b < a for a, b in zip(values_k, values_k[1:]))
 
 
@@ -135,7 +134,7 @@ def test_saturation_bound_requires_interferer():
 
 def test_saturation_bound_vs_high_snr_simulation():
     # 32 antennas, 2 users, effectively infinite SNR
-    bound = abs_saturation_bound(32, 0.5, 2).value
+    bound = abs_saturation_bound(32, 0.5, 2)
     (est,) = run_monte_carlo(ArrayConfig(32, 0.5), 2, Scheme.ABS,
                              [SnrPoint(1e6)], 50000, 77)
     assert abs(est.mean - bound) < 0.45
@@ -161,9 +160,9 @@ def test_log_rayleigh_shift():
 
 
 def test_hbs_approx_doubling_slopes():
-    base = hbs_se_approx(100.0, 64).value
-    assert hbs_se_approx(200.0, 64).value - base == pytest.approx(1.0, abs=1e-9)
-    assert hbs_se_approx(100.0, 128).value - base == pytest.approx(1.0, abs=1e-9)
+    base = hbs_se_approx(100.0, 64)
+    assert hbs_se_approx(200.0, 64) - base == pytest.approx(1.0, abs=1e-9)
+    assert hbs_se_approx(100.0, 128) - base == pytest.approx(1.0, abs=1e-9)
 
 
 def exact_no_interference_se(rho_nt):
@@ -175,15 +174,15 @@ def exact_no_interference_se(rho_nt):
 def test_hbs_approx_vs_exact_expectation():
     # error at rho*n_tx = 1e3 is 0.0106 and shrinks like 1/(rho*n_tx)
     for rho_nt, tol in ((1e3, 0.011), (1e4, 0.0015), (1e5, 0.0002)):
-        approx = hbs_se_approx(rho_nt, 1).value
+        approx = hbs_se_approx(rho_nt, 1)
         assert abs(approx - exact_no_interference_se(rho_nt)) <= tol
     # approximation degrades toward low SNR
-    low_err = abs(hbs_se_approx(1.0, 1).value - exact_no_interference_se(1.0))
+    low_err = abs(hbs_se_approx(1.0, 1) - exact_no_interference_se(1.0))
     assert low_err > 0.1
 
 
 def test_hbs_approx_vs_simulation_large_array():
-    approx = hbs_se_approx(SnrPoint.from_db(30.0), 128).value
+    approx = hbs_se_approx(SnrPoint.from_db(30.0), 128)
     (est,) = run_monte_carlo(ArrayConfig(128, 0.5), 2, Scheme.NO_INTERFERENCE,
                              [SnrPoint.from_db(30.0)], 50000, 78)
     assert abs(est.mean - approx) < 0.05

@@ -1,6 +1,8 @@
+import argparse
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +11,9 @@ import pytest
 import beamsteer
 from beamsteer import cli, experiment, semetrics
 from beamsteer.arrays import ArrayConfig
-from beamsteer.cli import (SNR_GRID_MAX, UsageError, load_config_file, main, parse_int_list,
-                           parse_schemes, parse_snr_spec)
+from beamsteer.cli import (CONFIG_KEYS, SNR_GRID_MAX, UsageError, build_parser,
+                           load_config_file, main, parse_int_list, parse_schemes,
+                           parse_snr_spec)
 from beamsteer.experiment import (ABS_SATURATION_LABEL, CSV_HEADER,
                                   ExperimentConfig, ValidationCheck,
                                   format_validation_report, rows_to_csv,
@@ -108,6 +111,92 @@ def test_config_file_and_flag_override(tmp_path):
     assert main(["sweep", "--config", str(cfg_file), "--ntx", "4",
                  "--out", str(out2)]) == 0
     assert all(",8," not in line for line in out2.read_text().split("\n")[1:] if line)
+
+
+# key -> (file value, flag, ExperimentConfig field, parsed file value, parsed flag value)
+CONFIG_OVERRIDES = {
+    "ntx": ("4,8", "--ntx=16", "n_tx_list", (4, 8), (16,)),
+    "nbeams": ("3", "--nbeams=4", "n_beams", 3, 4),
+    "snr_db": ("0,10", "--snr-db=-5:5:5", "snr_db_grid", (0.0, 10.0), (-5.0, 0.0, 5.0)),
+    "trials": ("20", "--trials=30", "trials", 20, 30),
+    "seed": ("3", "--seed=4", "seed", 3, 4),
+    "spacing": ("0.25", "--spacing=0.75", "spacing", 0.25, 0.75),
+    "schemes": ("ABS", "--schemes=HBS,NoInterference", "schemes", (Scheme.ABS,),
+                (Scheme.HBS, Scheme.NO_INTERFERENCE)),
+}
+
+
+def _sweep_configs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_sweep", lambda cfg, **kw: calls.append(cfg) or [])
+    return calls
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+def test_flag_overrides_each_config_key(tmp_path, monkeypatch, key):
+    assert sorted(CONFIG_OVERRIDES) == sorted(CONFIG_KEYS)
+    file_value, flag, field, from_file, from_flag = CONFIG_OVERRIDES[key]
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"{key} = {file_value}\n")
+    calls = _sweep_configs(monkeypatch)
+    assert main(["sweep", "--config", str(cfg_file)]) == 0
+    assert main(["sweep", "--config", str(cfg_file), flag]) == 0
+    assert main(["sweep", flag, "--config", str(cfg_file)]) == 0
+    assert [getattr(cfg, field) for cfg in calls] == [from_file, from_flag, from_flag]
+
+
+def test_config_keys_are_sweep_options():
+    # a config key is read as the sweep flag of the same name
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {s for a in sub.choices["sweep"]._actions for s in a.option_strings}
+    assert {"--" + key.replace("_", "-") for key in CONFIG_KEYS} <= options
+
+
+@pytest.mark.parametrize("line, message", [
+    ("nbeams = 0", "argument --nbeams"),
+    ("trials = 0", "argument --trials"),
+    ("seed = x", "argument --seed"),
+    ("snr_db = 10:0:20", "bad SNR spec"),
+    ("schemes = MRT", "unknown scheme"),
+    ("ntx = 8,,16", "bad integer list"),
+])
+def test_bad_config_value_exit_one(tmp_path, monkeypatch, capsys, line, message):
+    # a file value gets the check of its flag, before anything runs
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    calls = _sweep_configs(monkeypatch)
+    assert main(["sweep", "--config", str(bad)]) == 1
+    assert message in capsys.readouterr().err
+    assert calls == []
+
+
+def test_validate_has_no_out(tmp_path, monkeypatch, capsys):
+    # validate prints its report; an --out it would ignore is a usage error
+    calls = []
+    monkeypatch.setattr(cli, "run_validation", lambda **kw: calls.append(kw) or [])
+    out = tmp_path / "v.txt"
+    assert main(["validate", "--trials", "20", "--out", str(out)]) == 1
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("argv, snr", [
+    (["sweep", "--ntx", "8", "--trials", "50", "--snr-db", "3075",
+      "--schemes", "ABS,HBS,NoInterference", "--no-bounds"], "3075 dB"),
+    # only some streams' rho * interference overflows: their SE read 0
+    (["sweep", "--ntx", "8", "--nbeams", "5", "--trials", "2000", "--seed", "1",
+      "--snr-db", "3064.3", "--no-bounds"], "3064.3 dB"),
+    (["bounds", "--ntx", "8", "--snr-db", "3080"], "3080 dB"),
+])
+def test_overflowing_snr_exit_one(tmp_path, capsys, argv, snr):
+    # a finite SNR whose rho * n_tx |g|^2 overflows wrote nan/inf rows
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert snr in err and "overflows" in err
+    assert not out.exists()
 
 
 def test_bad_config_file_is_usage_error(tmp_path):
