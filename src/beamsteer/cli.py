@@ -64,9 +64,16 @@ def parse_snr_spec(spec: str):
     return tuple(grid)
 
 
+def _distinct(values, spec: str):
+    """The parsed list, unless an entry repeats: it would give duplicate rows."""
+    if len(set(values)) < len(values):
+        raise UsageError(f"{spec!r} repeats an entry")
+    return tuple(values)
+
+
 def parse_int_list(spec: str):
     try:
-        return tuple(int(x) for x in spec.split(","))
+        return _distinct([int(x) for x in spec.split(",")], spec)
     except ValueError:
         raise UsageError(f"bad integer list {spec!r}")
 
@@ -79,7 +86,7 @@ def parse_schemes(spec: str):
         except ValueError:
             valid = ",".join(s.value for s in Scheme)
             raise UsageError(f"unknown scheme {name!r}; valid: {valid}")
-    return tuple(out)
+    return _distinct(out, spec)
 
 
 def positive_int(text: str) -> int:

@@ -6,17 +6,17 @@ Noise power is unity; rho is the per-user transmit SNR, so it multiplies
 both the signal and the interference terms.
 
 A run has two stages.  The draw stage, ``draw_block``, gives the first-attempt
-(aods, gains) of every trial as one read-only block, over a process pool
-when asked for.  A trial's draws depend only on (seed, trial, K), never on
-n_tx or the scheme: trial t owns a fixed stretch of counters of the Philox
-stream keyed by the seed (the layout is in ``channel``), so a chunk of trials
-[s, s + count) is one ``sample_path_params(child_rng(seed, K, s), K, count)``
-call.  One block serves every cell of a run: ``experiment`` draws it once
-per (seed, K) and hands it to each (n_tx, scheme) cell's
-``run_monte_carlo``.  The gain stage turns a block into the per-stream
-signal |h_k f_k|^2 and interference sum_{i != k} |h_k f_i|^2 of one cell,
-two (trials, K) arrays, chunk by chunk in the calling process, and reduces
-them at every SNR point.
+(aods, gains) of every trial as one read-only block, drawn chunk by chunk,
+over a process pool when asked for.  A trial's draws depend only on (seed,
+trial, K), never on n_tx or the scheme: trial t owns a fixed stretch of
+counters of the Philox stream keyed by the seed (the layout is in
+``channel``), so a chunk of trials [s, s + count) is one
+``sample_path_params(child_rng(seed, K, s), K, count)`` call.  One block
+serves every cell of a run: ``experiment`` draws it once per (seed, K) and
+hands it to each (n_tx, scheme) cell's ``run_monte_carlo``.  The gain stage
+turns a block into the per-stream signal |h_k f_k|^2 and interference
+sum_{i != k} |h_k f_i|^2 of one cell, two (trials, K) arrays, chunk by chunk
+in the calling process, and reduces them at every SNR point.
 
 The gain stage is rho-free and works on K x K arrays alone.  In the pure-LoS
 model a trial's equivalent channel is H_hat = sqrt(N) diag(g) G, with G =
@@ -53,6 +53,7 @@ from __future__ import annotations
 import enum
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -151,7 +152,7 @@ def _gram(aods, config):
 
 
 def _draw_chunk(seed, n_users, start, count):
-    """(aods, gains) of trials [start, start + count), from one generator call."""
+    """(aods, gains) of trials [start, start + count), from one kernel call."""
     return sample_path_params(child_rng(seed, n_users, start), n_users, count)
 
 
@@ -160,20 +161,23 @@ def draw_block(seed: int, n_users: int, trials: int, workers: int = 1):
 
     Returns read-only (aods, gains) arrays of shape (trials, n_users), row t
     byte-identical to ``sample_path_params(child_rng(seed, n_users, t),
-    n_users)``.  With ``workers > 1`` chunks of trials are drawn over a
-    process pool; the values do not depend on it.  The pool starts all its
-    processes at once, so it gets no more than one per chunk and per CPU.
+    n_users)``.  The block is drawn in chunks of ``_CHUNK`` trials, which
+    keeps the kernel's temporaries small; with ``workers > 1`` the chunks are
+    drawn over a process pool, and the values do not depend on it.  The pool
+    starts all its processes at once, so it gets no more than one per chunk
+    and per CPU.
     """
     starts = range(0, trials, _CHUNK)
-    if workers > 1 and len(starts) > 1:
-        counts = [min(_CHUNK, trials - s) for s in starts]
-        max_workers = min(workers, len(starts), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            parts = list(pool.map(_draw_chunk, repeat(seed), repeat(n_users), starts, counts))
-        aods, gains = (np.concatenate(p) for p in zip(*parts))
-        del parts
-    else:
-        aods, gains = _draw_chunk(seed, n_users, 0, trials)
+    counts = [min(_CHUNK, trials - s) for s in starts]
+    pool = (ProcessPoolExecutor(max_workers=min(workers, len(starts), os.cpu_count() or 1))
+            if workers > 1 and len(starts) > 1 else None)
+    aods = np.empty((trials, n_users))
+    gains = np.empty((trials, n_users), dtype=complex)
+    with pool or nullcontext():
+        parts = (pool.map if pool else map)(_draw_chunk, repeat(seed), repeat(n_users),
+                                            starts, counts)
+        for s, (chunk_aods, chunk_gains) in zip(starts, parts):
+            aods[s:s + _CHUNK], gains[s:s + _CHUNK] = chunk_aods, chunk_gains
     aods.flags.writeable = gains.flags.writeable = False
     return aods, gains
 

@@ -431,10 +431,39 @@ def test_validation_equals_per_cell_calls(monkeypatch):
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
-    # numpy.random (and the hashlib/OpenSSL it pulls in) loads only where a
-    # draw runs: a process that never draws, such as the parent of a pooled
-    # run, does not pay for it
+    # The draws come from the package's own Philox kernel, so numpy.random
+    # (and the hashlib/OpenSSL it pulls in) loads in no process: not on
+    # import, and not in a run whose HBS cell takes the extended-precision
+    # fallback and redraws a trial (8x5 at seed 0), in one process or with
+    # its two draw chunks over a pool.
     src = str(Path(beamsteer.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, beamsteer.cli; sys.exit('numpy.random' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    run = ("import sys; from beamsteer.cli import main; rc = main(sys.argv[1:]); "
+           "sys.exit(rc or 3 * ('numpy.random' in sys.modules))")
+    for threads in ("1", "2"):
+        argv = ["sweep", "--ntx", "8", "--nbeams", "5", "--schemes", "HBS", "--snr-db", "0",
+                "--trials", str(semetrics._CHUNK + 52), "--seed", "0", "--no-bounds",
+                "--threads", threads]
+        proc = subprocess.run([sys.executable, "-c", run, *argv], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        header, row = proc.stdout.splitlines()
+        assert header.endswith("n_resampled") and int(row.split(",")[-1]) > 0
+
+
+def test_repeated_list_entry_exit_one(tmp_path, capsys):
+    # a repeated n_tx or scheme wrote the same rows twice
+    base = ["sweep", "--trials", "10", "--snr-db", "0"]
+    for extra, flag in ((["--ntx", "8,8", "--schemes", "ABS,ABS"], "--ntx"),
+                        (["--ntx", "8,16,8"], "--ntx"),
+                        (["--schemes", "HBS,ABS,HBS"], "--schemes")):
+        assert main(base + extra) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and flag in err and "repeats an entry" in err
+    assert main(["bounds", "--ntx", "16,16"]) == 1
+    config = tmp_path / "repeat.cfg"
+    config.write_text("schemes = ABS, ABS\n")
+    assert main(base + ["--config", str(config)]) == 1
+    assert "repeats an entry" in capsys.readouterr().err
