@@ -17,10 +17,6 @@ from .semetrics import SnrPoint
 
 EULER_GAMMA = float(np.euler_gamma)
 
-# Rayleigh scale of the unit-second-moment complex path gain (per-component
-# standard deviation): E|alpha|^2 = 2*sigma^2 = 1.
-DEFAULT_SIGMA = 1.0 / math.sqrt(2.0)
-
 # J0 Hankel expansion coefficients c_m = prod_{j<=m}(2j-1)^2 / (m! 8^m).
 _HANKEL_C = [1.0]
 for _m in range(1, 26):
@@ -104,26 +100,18 @@ def abs_saturation_bound(n_tx: int, spacing: float, n_users: int) -> float:
     return math.log2(1.0 + n_tx**2 / ((n_users - 1) ** 2 * s))
 
 
-def log_rayleigh_mean(scale_arg: float) -> float:
-    """E[ln X] for X Rayleigh-distributed with scale ``scale_arg``:
-    ln(scale_arg) + ln2/2 - gamma/2."""
-    if scale_arg <= 0:
-        raise ValueError("scale_arg must be positive")
-    return math.log(scale_arg) + math.log(2.0) / 2.0 - EULER_GAMMA / 2.0
-
-
 def hbs_se_approx(rho, n_tx: int) -> float:
     """Log-Rayleigh approximation of the hybrid scheme's per-stream SE, b/s/Hz.
 
-    (2/ln 2) * E[ln(sqrt(rho*n_tx)|alpha|)] with |alpha| Rayleigh(DEFAULT_SIGMA).
+    E[log2(rho*n_tx |alpha|^2)] with alpha ~ CN(0, 1), which is
+    log2(rho*n_tx) - gamma/ln 2 (|alpha|^2 ~ Exp(1), E ln|alpha|^2 = -gamma).
     Tight for rho*n_tx >> 1; undershoots at low SNR.  ``rho`` is an
     ``SnrPoint`` or a linear SNR; both inputs get the simulation's checks,
     and a rho * n_tx that overflows float64 raises ``ValueError``.
     """
     rho_lin = (rho if isinstance(rho, SnrPoint) else SnrPoint(float(rho))).rho_linear
     config = ArrayConfig(n_tx)
-    value = 2.0 / math.log(2.0) * log_rayleigh_mean(
-        math.sqrt(rho_lin * config.n_tx) * DEFAULT_SIGMA)
+    value = math.log2(rho_lin * config.n_tx) - EULER_GAMMA / math.log(2.0)
     if not math.isfinite(value):
         raise ValueError(f"HBS approximation at SNR {10.0 * math.log10(rho_lin):.6g} dB is "
                          f"not finite: rho * n_tx overflows float64")

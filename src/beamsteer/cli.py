@@ -34,8 +34,8 @@ class UsageError(argparse.ArgumentTypeError):
 def parse_snr_spec(spec: str):
     """SNR grid in dB: comma list ("-10,0,10") or start:step:stop (inclusive).
 
-    Every value must be finite, and a range may hold at most SNR_GRID_MAX
-    points; its size is checked before the grid is built.
+    Every value must be finite and a list strictly increasing; a range may
+    hold at most SNR_GRID_MAX points, counted before the grid is built.
     """
     spec = spec.strip()
     is_range = ":" in spec
@@ -50,6 +50,8 @@ def parse_snr_spec(spec: str):
     if not all(math.isfinite(x) for x in values):
         raise UsageError(f"SNR spec {spec!r}: values must be finite")
     if not is_range:
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise UsageError(f"SNR list {spec!r} must be strictly increasing")
         return tuple(values)
     too_many = f"SNR range {spec!r} has more than {SNR_GRID_MAX} points"
     if not (stop + 1e-9 - start) / step < SNR_GRID_MAX:

@@ -29,13 +29,13 @@ With the power N |g_k|^2 as signal, NoInterference has no interference and
 needs no angles, and ABS has the interference N |g_k|^2 sum_{i != k}
 R_ki^2.  The hybrid scheme (ZF on H_hat, then vector normalization) has the
 signal N |g_k|^2 / (R^-1)_kk and no interference, from one real float64
-solve per chunk.  A trial that solve cannot be trusted for (a condition
-bound eps64 ||R||_F ||R^-1||_F above 5e-10, a non-positive or non-finite
-diagonal entry, or an exactly singular R, which stops the batched solve,
-so that chunk is solved trial by trial) is recomputed from its own n_tx-long
-channel rows through the extended-precision chain ``hbs_beamformer_set``,
-and a draw that chain finds singular is redrawn from the trial's next
-resample stream: the same counters under the key word of attempt 1, 2, ...
+inverse per chunk, ``_gram_inverse``.  A trial that inverse cannot be
+trusted for (a condition bound eps64 ||R||_F ||R^-1||_F above 5e-10, or a
+non-positive or non-finite diagonal entry, which the zero pivot of an
+exactly singular R gives) is recomputed from its own n_tx-long channel rows
+through the extended-precision chain ``hbs_beamformer_set``, and a draw
+that chain finds singular is redrawn from the trial's next resample
+stream: the same counters under the key word of attempt 1, 2, ...
 The redraw stays local to the cell: the shared block is never written.
 ``MonteCarloEstimate.n_fallback`` counts those trials.  SNR enters only in
 the SE reduction ``se_from_gains``, so one simulation serves a whole SNR
@@ -112,8 +112,9 @@ class MonteCarloEstimate:
 
 def se_from_gains(signal: np.ndarray, interference: np.ndarray, rho_lin: float) -> np.ndarray:
     """Per-stream SE log2(1 + SINR), bits/s/Hz, from (..., K) arrays of
-    |h_k f_k|^2 and sum_{i != k} |h_k f_i|^2: SINR = rho s / (rho i + 1)."""
-    return np.log2(1.0 + rho_lin * signal / (rho_lin * interference + 1.0))
+    |h_k f_k|^2 and sum_{i != k} |h_k f_i|^2: SINR = rho s / (rho i + 1),
+    through log1p, which keeps the digits of a small SINR that 1 + SINR loses."""
+    return np.log1p(rho_lin * signal / (rho_lin * interference + 1.0)) / np.log(2.0)
 
 
 def _off_diagonal_sums(m):
@@ -149,6 +150,23 @@ def _gram(aods, config):
     r = np.ones(zeta.shape + (n_users,))
     r[..., k, i] = r[..., i, k] = np.where(coincident, 1.0, ratio)
     return r
+
+
+def _gram_inverse(r):
+    """Inverses of a (T, K, K) stack of Gram kernels R, by in-place Gauss-Jordan
+    elimination vectorised over the trials.  R is symmetric positive definite
+    with unit diagonal, so it needs no pivoting; an exactly singular R meets a
+    zero pivot, which leaves that trial's inverse, and no other, non-finite."""
+    inv = r.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(r.shape[-1]):
+            col = inv[:, :, k].copy()
+            inv[:, :, k] = 0.0
+            inv[:, k, k] = 1.0
+            inv[:, k] /= col[:, k, None]
+            col[:, k] = 0.0
+            inv -= col[:, :, None] * inv[:, None, k]
+    return inv
 
 
 def _draw_chunk(seed, n_users, start, count):
@@ -194,24 +212,13 @@ def _gain_chunk(aods, gains, config, scheme, seed, start):
         interference = signal * _off_diagonal_sums(_gram(aods, config) ** 2)
     elif scheme is Scheme.HBS:
         gram = _gram(aods, config)
-        eye = np.eye(n_users)
-        try:
-            inv = np.linalg.solve(gram, eye)
-        except np.linalg.LinAlgError:
-            # an exactly singular R stops the batch; solve trial by trial and
-            # leave the singular trials' inverses NaN, which flags only them
-            inv = np.full_like(gram, np.nan)
-            for t, r in enumerate(gram):
-                try:
-                    inv[t] = np.linalg.solve(r, eye)
-                except np.linalg.LinAlgError:
-                    pass
+        inv = _gram_inverse(gram)
         # ZF with vector normalization leaves stream k the signal
         # N |g_k|^2 / (R^-1)_kk and no leakage: G w_i = e_i / (sqrt(N) g_i).
         # ||R||_F ||R^-1||_F >= cond_2(R), and eps64 * cond_2 is the scale
-        # of the float64 solve's forward error.  A non-finite inverse fails it.
+        # of the float64 inverse's forward error.  A non-finite inverse fails it.
         inv_diag = np.diagonal(inv, axis1=1, axis2=2)
-        cond = np.linalg.norm(gram, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
+        cond = np.sqrt((gram ** 2).sum(axis=(1, 2))) * np.sqrt((inv ** 2).sum(axis=(1, 2)))
         good = (_EPS64 * cond <= _FORWARD_TOL) & (inv_diag > 0.0).all(axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
             signal /= inv_diag

@@ -4,8 +4,7 @@ from scipy.integrate import quad
 
 from beamsteer.arrays import ArrayConfig, steering_vector
 from beamsteer.bounds import (EULER_GAMMA, abs_saturation_bound, bessel_j0,
-                              cross_correlation_expectation, hbs_se_approx,
-                              log_rayleigh_mean)
+                              cross_correlation_expectation, hbs_se_approx)
 from beamsteer.semetrics import Scheme, SnrPoint, run_monte_carlo
 
 from j0_oracle import j0_series
@@ -140,23 +139,14 @@ def test_saturation_bound_vs_high_snr_simulation():
     assert abs(est.mean - bound) < 0.45
 
 
-def test_log_rayleigh_zero_crossing():
-    scale = np.exp(EULER_GAMMA / 2) / np.sqrt(2)
-    assert log_rayleigh_mean(scale) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_log_rayleigh_unit_scale():
-    expected = np.log(2) / 2 - EULER_GAMMA / 2
-    assert expected == pytest.approx(0.0579658, abs=5e-7)
-    assert log_rayleigh_mean(1.0) == pytest.approx(expected)
+def test_hbs_approx_is_log_rayleigh_mean():
+    # hbs_se_approx(rho, N) = E log2(rho N |alpha|^2) with alpha ~ CN(0, 1):
+    # zero at rho N = e^gamma, and a sampled mean within 4 standard errors
+    assert hbs_se_approx(np.exp(EULER_GAMMA), 1) == pytest.approx(0.0, abs=1e-15)
     rng = np.random.default_rng(32)
-    samples = np.log(rng.rayleigh(1.0, 10**6))
-    assert abs(samples.mean() - expected) < 4 * samples.std() / 1000
-
-
-def test_log_rayleigh_shift():
-    assert log_rayleigh_mean(2.6) - log_rayleigh_mean(1.3) == pytest.approx(
-        np.log(2), abs=1e-12)
+    alpha = (rng.standard_normal(10**6) + 1j * rng.standard_normal(10**6)) / np.sqrt(2)
+    samples = np.log2(100.0 * 32 * np.abs(alpha) ** 2)
+    assert abs(samples.mean() - hbs_se_approx(100.0, 32)) < 4 * samples.std() / 1000
 
 
 def test_hbs_approx_doubling_slopes():

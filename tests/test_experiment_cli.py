@@ -351,6 +351,17 @@ def test_snr_range_point_cap(capsys):
     assert str(SNR_GRID_MAX) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["30,10,10", "10,10", "0,20,10"])
+def test_snr_list_not_increasing_exit_one(tmp_path, capsys, spec):
+    # bounds wrote a repeated or out-of-order SNR list's rows and exited 0
+    out = tmp_path / "b.csv"
+    for argv in (["bounds", "--ntx", "16"],
+                 ["sweep", "--ntx", "8", "--trials", "10"]):
+        assert main(argv + ["--snr-db", spec, "--out", str(out)]) == 1
+        assert "strictly increasing" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bounds_non_positive_nbeams_exit_one(tmp_path, capsys):
     out = tmp_path / "b.csv"
     for nbeams in ("0", "-3"):

@@ -14,7 +14,7 @@ from beamsteer.beamforming import (DegeneratePrecoder, SingularEquivalentChannel
 from beamsteer.bounds import cross_correlation_expectation
 from beamsteer.channel import child_rng, sample_path_params
 from beamsteer.semetrics import (MonteCarloEstimate, Scheme, SnrPoint, _gain_chunk, _gram,
-                                 draw_block, run_monte_carlo, se_from_gains)
+                                 _gram_inverse, draw_block, run_monte_carlo, se_from_gains)
 
 from los_reference import PathParams, los_channel
 
@@ -143,6 +143,16 @@ def test_se_values():
     stacked = se_from_gains(*split(np.array([[[0.0]], [[1.0]], [[3.0]]])), 1.0)
     assert stacked.shape == (3, 1)
     assert stacked[:, 0] == pytest.approx([0.0, 1.0, 2.0])
+
+
+def test_low_snr_se_keeps_its_digits():
+    # at -120 dB, 1 + SINR rounds away the SINR's low digits: log2(1 + SINR)
+    # read the mean 2.4e-8 relative low
+    cfg, rho = ArrayConfig(32, 0.5), 1e-12
+    _, gains = draw_block(1, 2, 2000)
+    expected = np.mean(np.log1p(rho * cfg.n_tx * np.abs(gains) ** 2) / np.log(2.0))
+    (est,) = run_monte_carlo(cfg, 2, Scheme.NO_INTERFERENCE, [rho], 2000, 1)
+    assert est.mean == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_monte_carlo_determinism():
@@ -345,32 +355,23 @@ def test_hbs_kernel_matches_extended_gram_reference():
 
 def test_singular_trial_flags_only_itself():
     # Trial 5's two users coincide, so its real Gram matrix R is exactly
-    # singular and stops the chunk's batched solve.  Only that trial goes to
-    # the extended-precision chain, which redraws it; every other trial keeps
-    # the signal and interference the batched solve gives it without trial
-    # 5's change.
+    # singular: the chunk's batched elimination meets a zero pivot in that
+    # trial alone.  Only that trial goes to the extended-precision chain,
+    # which redraws it; every other trial keeps the signal and interference
+    # the batched inverse gives it without trial 5's change.
     cfg = ArrayConfig(16, 0.5)
     clean = draw_block(2026, 2, 64)
     *clean_gains, _, clean_flagged = _gain_chunk(*clean, cfg, Scheme.HBS, 2026, 0)
     assert clean_flagged == 0
     aods = clean[0].copy()
     aods[5, 1] = aods[5, 0]
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(_gram(aods, cfg), np.eye(2))
+    finite = np.isfinite(_gram_inverse(_gram(aods, cfg))).all(axis=(1, 2))
+    assert finite.tolist() == [t != 5 for t in range(64)]
     *gains, resampled, flagged = _gain_chunk(aods, clean[1], cfg, Scheme.HBS, 2026, 0)
     assert (resampled, flagged) == (1, 1)
     others = np.arange(64) != 5
     for got, want in zip(gains, clean_gains):
         assert got[others].tobytes() == want[others].tobytes()
-
-
-def test_per_trial_solve_equals_batched_solve():
-    # the gain stage's trial-by-trial real solve of a chunk that holds a
-    # singular trial gives the other trials the batched solve's bytes
-    gram = _gram(draw_block(2026, 5, semetrics._CHUNK)[0], ArrayConfig(32, 0.5))
-    eye = np.eye(5)
-    batched = np.linalg.solve(gram, eye)
-    assert batched.tobytes() == np.stack([np.linalg.solve(g, eye) for g in gram]).tobytes()
 
 
 def test_fallback_count_matches_chain_calls():
@@ -389,6 +390,14 @@ def test_fallback_count_matches_chain_calls():
     assert est.n_fallback == len(returned) > 0
     for scheme in (Scheme.ABS, Scheme.NO_INTERFERENCE):
         assert run_monte_carlo(cfg, 5, scheme, [316.0], 2048, 2026)[0].n_fallback == 0
+
+
+@pytest.mark.parametrize("n_tx, n_fallback", [(32, 27), (128, 7)])
+def test_fallback_count_at_seed_2026(n_tx, n_fallback):
+    # the unpivoted elimination flags the trials a pivoted LAPACK solve of R
+    # flagged: 27 and 7 of 4096 at seed 2026
+    (est,) = run_monte_carlo(ArrayConfig(n_tx, 0.5), 5, Scheme.HBS, [1000.0], 4096, 2026)
+    assert (est.n_fallback, est.n_resampled) == (n_fallback, 0)
 
 
 def test_chunk_size_invariance(monkeypatch):
