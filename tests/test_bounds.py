@@ -139,11 +139,20 @@ def test_saturation_bound_vs_high_snr_simulation():
     assert abs(est.mean - bound) < 0.45
 
 
-def test_hbs_approx_is_log_rayleigh_mean():
-    # hbs_se_approx(rho, N) = E log2(rho N |alpha|^2) with alpha ~ CN(0, 1):
-    # zero at rho N = e^gamma, and a sampled mean within 4 standard errors
+def test_log_rayleigh_zero_crossing():
+    # hbs_se_approx(rho, N) = E log2(rho N |alpha|^2) with alpha ~ CN(0, 1),
+    # which is zero at rho N = e^gamma
     assert hbs_se_approx(np.exp(EULER_GAMMA), 1) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_log_rayleigh_unit_scale():
+    # E ln X for X Rayleigh(1) is (ln 2/2) * hbs_se_approx at rho N = 2
+    expected = np.log(2) / 2 - EULER_GAMMA / 2
+    assert expected == pytest.approx(0.0579658, abs=5e-7)
+    assert np.log(2) / 2 * hbs_se_approx(2.0, 1) == pytest.approx(expected)
     rng = np.random.default_rng(32)
+    samples = np.log(rng.rayleigh(1.0, 10**6))
+    assert abs(samples.mean() - expected) < 4 * samples.std() / 1000
     alpha = (rng.standard_normal(10**6) + 1j * rng.standard_normal(10**6)) / np.sqrt(2)
     samples = np.log2(100.0 * 32 * np.abs(alpha) ** 2)
     assert abs(samples.mean() - hbs_se_approx(100.0, 32)) < 4 * samples.std() / 1000
