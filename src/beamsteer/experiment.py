@@ -10,7 +10,7 @@ import numpy as np
 
 from .arrays import ArrayConfig
 from .bounds import abs_saturation_bound, hbs_se_approx
-from .semetrics import Scheme, SnrPoint, check_cell, draw_block, run_monte_carlo
+from .semetrics import Scheme, SnrPoint, check_cell, draw_blocks, run_monte_carlo
 
 CSV_HEADER = "snr_db,n_tx,n_beams,label,se_mean,se_stderr,n_resampled"
 
@@ -41,6 +41,10 @@ class ExperimentConfig:
             raise ValueError("snr_db_grid must be non-empty and strictly increasing")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
+        for name in ("n_tx_list", "schemes"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} {values!r} repeats an entry")
 
 
 @dataclass(frozen=True)
@@ -99,36 +103,37 @@ def bound_rows(n_tx: int, n_beams: int, spacing: float, snr_db_grid,
     return rows
 
 
-def simulate_cells(n_users: int, cells, trials: int, seed: int, workers: int = 1):
-    """Estimates of each (ArrayConfig, Scheme, snrs) cell of one user count.
+def simulate_cells(cells, trials: int, seed: int, workers: int = 1):
+    """Estimates of each (n_users, ArrayConfig, schemes, snrs) cell of a command.
 
     A trial's draws do not depend on the array or the scheme, so every cell
-    is checked, one block is drawn (over ``workers`` processes) and each
-    cell's ``run_monte_carlo`` reads it.  A cell's estimates are those of its
-    own ``run_monte_carlo`` call without the block.
+    is checked, then one ``draw_blocks`` call draws one block per user count
+    (over one pool of ``workers`` processes) and each cell's
+    ``run_monte_carlo`` reads the block of its user count.  A cell's
+    estimates, one tuple per scheme, are those of its own ``run_monte_carlo``
+    call without the block.
     """
-    for config, scheme, snrs in cells:
-        check_cell(config, n_users, scheme, snrs, trials)
-    block = draw_block(seed, n_users, trials, workers=workers)
-    return [run_monte_carlo(config, n_users, scheme, snrs, trials, seed, block=block)
-            for config, scheme, snrs in cells]
+    for n_users, config, schemes, snrs in cells:
+        check_cell(config, n_users, schemes, snrs, trials)
+    blocks = draw_blocks(seed, dict.fromkeys(cell[0] for cell in cells), trials, workers=workers)
+    return [run_monte_carlo(config, n_users, schemes, snrs, trials, seed, block=blocks[n_users])
+            for n_users, config, schemes, snrs in cells]
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1):
     """Simulate every (n_tx, scheme, snr) grid point, plus bound rows.
 
-    Each (n_tx, scheme) curve is one simulation whose gains are reduced at
-    every SNR point, and every curve uses the same master seed and so the
+    Each array is one simulation of all the schemes whose gains are reduced
+    at every SNR point, and every array uses the same master seed and so the
     same draws (common random numbers), drawn once for the whole sweep.
     """
     snrs = [SnrPoint.from_db(snr_db) for snr_db in cfg.snr_db_grid]
-    cells = [(ArrayConfig(n_tx=n_tx, spacing=cfg.spacing), scheme, snrs)
-             for n_tx in cfg.n_tx_list for scheme in cfg.schemes]
-    estimates = iter(simulate_cells(cfg.n_beams, cells, cfg.trials, cfg.seed, workers))
+    cells = [(cfg.n_beams, ArrayConfig(n_tx=n_tx, spacing=cfg.spacing), cfg.schemes, snrs)
+             for n_tx in cfg.n_tx_list]
     rows = []
-    for n_tx in cfg.n_tx_list:
-        for scheme in cfg.schemes:
-            for snr_db, est in zip(cfg.snr_db_grid, next(estimates)):
+    for n_tx, cell in zip(cfg.n_tx_list, simulate_cells(cells, cfg.trials, cfg.seed, workers)):
+        for scheme, estimates in zip(cfg.schemes, cell):
+            for snr_db, est in zip(cfg.snr_db_grid, estimates):
                 rows.append(ResultRow(snr_db=snr_db, n_tx=n_tx,
                                       n_beams=cfg.n_beams, label=scheme.value,
                                       se_mean=est.mean, se_stderr=est.std_error,
@@ -185,21 +190,19 @@ def run_validation(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
     rho = 30 dB and compare them against their expected windows."""
     fig2_windows = {16: (0.15, 0.45), 32: (0.05, 0.35), 128: (0.0, 0.1)}
     fig3_windows = {3: (0.0, 0.2), 5: (0.05, 0.25)}
-    # (n_tx, scheme, SNRs in dB) of every cell by beam count; the cells of a
-    # beam count share one draw block.
-    cells = {2: [(n_tx, Scheme.ABS, (30.0, 25.0)) for n_tx in (16, 32, 128)]
-                + [(n_tx, Scheme.HBS, (30.0,)) for n_tx in fig2_windows],
-             3: [(32, Scheme.ABS, (30.0,))],
-             5: [(32, Scheme.ABS, (30.0,)), (32, Scheme.HBS, (30.0,)),
-                 (128, Scheme.HBS, (30.0,)), (128, Scheme.ABS, (30.0,))]}
+    both = (Scheme.ABS, Scheme.HBS)
+    # (n_beams, n_tx, schemes, SNRs in dB) of every array; one draw serves
+    # them all.  An HBS estimate at 25 dB goes unused.
+    cells = [(2, n_tx, both, (30.0, 25.0)) for n_tx in (16, 32, 128)]
+    cells += [(3, 32, (Scheme.ABS,), (30.0,)), (5, 32, both, (30.0,)), (5, 128, both, (30.0,))]
+    estimates = simulate_cells(
+        [(n_beams, ArrayConfig(n_tx=n_tx, spacing=0.5), schemes,
+          [SnrPoint.from_db(x) for x in snr_dbs]) for n_beams, n_tx, schemes, snr_dbs in cells],
+        trials, seed, workers)
     se = {}  # (n_tx, n_beams, scheme) -> mean SE at each of the cell's SNRs
-    for n_beams, group in cells.items():
-        estimates = simulate_cells(
-            n_beams, [(ArrayConfig(n_tx=n_tx, spacing=0.5), scheme,
-                       [SnrPoint.from_db(x) for x in snr_dbs])
-                      for n_tx, scheme, snr_dbs in group], trials, seed, workers)
-        for (n_tx, scheme, _), cell in zip(group, estimates):
-            se[n_tx, n_beams, scheme] = [est.mean for est in cell]
+    for (n_beams, n_tx, schemes, _), cell in zip(cells, estimates):
+        for scheme, scheme_estimates in zip(schemes, cell):
+            se[n_tx, n_beams, scheme] = [est.mean for est in scheme_estimates]
     checks = []
 
     # Figure 1: analog saturation, K = 2.

@@ -5,18 +5,21 @@ requested beamformer, and averages log2(1 + SINR) over trials and streams.
 Noise power is unity; rho is the per-user transmit SNR, so it multiplies
 both the signal and the interference terms.
 
-A run has two stages.  The draw stage, ``draw_block``, gives the first-attempt
-(aods, gains) of every trial as one read-only block, drawn chunk by chunk,
-over a process pool when asked for.  A trial's draws depend only on (seed,
-trial, K), never on n_tx or the scheme: trial t owns a fixed stretch of
-counters of the Philox stream keyed by the seed (the layout is in
-``channel``), so a chunk of trials [s, s + count) is one
-``sample_path_params(child_rng(seed, K, s), K, count)`` call.  One block
-serves every cell of a run: ``experiment`` draws it once per (seed, K) and
-hands it to each (n_tx, scheme) cell's ``run_monte_carlo``.  The gain stage
-turns a block into the per-stream signal |h_k f_k|^2 and interference
-sum_{i != k} |h_k f_i|^2 of one cell, two (trials, K) arrays, chunk by chunk
-in the calling process, and reduces them at every SNR point.
+A run has two stages.  The draw stage, ``draw_blocks``, gives the
+first-attempt (aods, gains) of every trial as one read-only block per user
+count K, drawn chunk by chunk; with workers it maps every chunk of every
+block over one process pool, so a command starts at most one.  A trial's
+draws depend only on (seed, trial, K), never on n_tx or the scheme: trial t
+owns a fixed stretch of counters of the Philox stream keyed by the seed (the
+layout is in ``channel``), so a chunk of trials [s, s + count) is one
+``sample_path_params(child_rng(seed, K, s), K, count)`` call, which any
+worker can make in any order.  One block serves every cell of its K:
+``experiment`` draws the blocks of a command once and hands each to the
+``run_monte_carlo`` of every array of that K.  The gain stage turns a block
+into each scheme's per-stream signal |h_k f_k|^2 and interference
+sum_{i != k} |h_k f_i|^2 on one array, two (trials, K) arrays, chunk by
+chunk in the calling process, and reduces them at every SNR point; a chunk's
+Gram kernel is computed once for all the schemes that read it.
 
 The gain stage is rho-free and works on K x K arrays alone.  In the pure-LoS
 model a trial's equivalent channel is H_hat = sqrt(N) diag(g) G, with G =
@@ -174,55 +177,66 @@ def _draw_chunk(seed, n_users, start, count):
     return sample_path_params(child_rng(seed, n_users, start), n_users, count)
 
 
-def draw_block(seed: int, n_users: int, trials: int, workers: int = 1):
-    """Draw stage: first-attempt draws of trials [0, trials).
+def draw_blocks(seed: int, user_counts, trials: int, workers: int = 1):
+    """Draw stage: first-attempt draws of trials [0, trials) for each user count.
 
-    Returns read-only (aods, gains) arrays of shape (trials, n_users), row t
-    byte-identical to ``sample_path_params(child_rng(seed, n_users, t),
-    n_users)``.  The block is drawn in chunks of ``_CHUNK`` trials, which
-    keeps the kernel's temporaries small; with ``workers > 1`` the chunks are
-    drawn over a process pool, and the values do not depend on it.  The pool
-    starts all its processes at once, so it gets no more than one per chunk
-    and per CPU.
+    Returns {n_users: (aods, gains)}, read-only arrays of shape (trials,
+    n_users), row t byte-identical to ``sample_path_params(child_rng(seed,
+    n_users, t), n_users)``.  Each block is drawn in chunks of ``_CHUNK``
+    trials, which keeps the kernel's temporaries small; with ``workers > 1``
+    the chunks of every block are drawn over one process pool, and the values
+    do not depend on it.  The pool starts all its processes at once, so it
+    gets no more than one per chunk and per CPU.
     """
-    starts = range(0, trials, _CHUNK)
-    counts = [min(_CHUNK, trials - s) for s in starts]
-    pool = (ProcessPoolExecutor(max_workers=min(workers, len(starts), os.cpu_count() or 1))
-            if workers > 1 and len(starts) > 1 else None)
-    aods = np.empty((trials, n_users))
-    gains = np.empty((trials, n_users), dtype=complex)
+    blocks = {k: (np.empty((trials, k)), np.empty((trials, k), dtype=complex))
+              for k in user_counts}
+    jobs = [(k, s) for k in blocks for s in range(0, trials, _CHUNK)]
+    pool = (ProcessPoolExecutor(max_workers=min(workers, len(jobs), os.cpu_count() or 1))
+            if workers > 1 and len(jobs) > 1 else None)
     with pool or nullcontext():
-        parts = (pool.map if pool else map)(_draw_chunk, repeat(seed), repeat(n_users),
-                                            starts, counts)
-        for s, (chunk_aods, chunk_gains) in zip(starts, parts):
+        parts = (pool.map if pool else map)(_draw_chunk, repeat(seed), *zip(*jobs),
+                                            [min(_CHUNK, trials - s) for _, s in jobs])
+        for (k, s), (chunk_aods, chunk_gains) in zip(jobs, parts):
+            aods, gains = blocks[k]
             aods[s:s + _CHUNK], gains[s:s + _CHUNK] = chunk_aods, chunk_gains
-    aods.flags.writeable = gains.flags.writeable = False
-    return aods, gains
+    for aods, gains in blocks.values():
+        aods.flags.writeable = gains.flags.writeable = False
+    return blocks
 
 
-def _gain_chunk(aods, gains, config, scheme, seed, start):
+def _gain_chunk(aods, gains, config, schemes, seed, start):
     """Gain stage on trials [start, start + len(aods)) of ``seed``, drawn as
-    (aods, gains): their (count, K) signal and interference, the number of
-    resampled draws and the number of extended-precision trials."""
+    (aods, gains): per scheme, their (count, K) signal and interference, the
+    number of resampled draws and the number of extended-precision trials.
+    The Gram kernel R is computed once for the schemes that read it."""
+    power = config.n_tx * np.abs(gains) ** 2
+    gram = _gram(aods, config) if {Scheme.ABS, Scheme.HBS} & set(schemes) else None
+    out = []
+    for scheme in schemes:
+        if scheme is Scheme.ABS:
+            out.append((power, power * _off_diagonal_sums(gram ** 2), 0, 0))
+        elif scheme is Scheme.HBS:
+            out.append(_hbs_chunk(aods, gains, config, gram, power, seed, start))
+        else:
+            out.append((power, np.zeros_like(power), 0, 0))
+    return out
+
+
+def _hbs_chunk(aods, gains, config, gram, power, seed, start):
+    """``_gain_chunk``'s HBS entry, from the chunk's Gram kernels ``gram``."""
     n_users = aods.shape[1]
-    signal = config.n_tx * np.abs(gains) ** 2
+    inv = _gram_inverse(gram)
+    # ZF with vector normalization leaves stream k the signal
+    # N |g_k|^2 / (R^-1)_kk and no leakage: G w_i = e_i / (sqrt(N) g_i).
+    # ||R||_F ||R^-1||_F >= cond_2(R), and eps64 * cond_2 is the scale
+    # of the float64 inverse's forward error.  A non-finite inverse fails it.
+    inv_diag = np.diagonal(inv, axis1=1, axis2=2)
+    cond = np.sqrt((gram ** 2).sum(axis=(1, 2))) * np.sqrt((inv ** 2).sum(axis=(1, 2)))
+    good = (_EPS64 * cond <= _FORWARD_TOL) & (inv_diag > 0.0).all(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        signal = power / inv_diag
     interference = np.zeros_like(signal)
-    flagged = []
-    if scheme is Scheme.ABS:
-        interference = signal * _off_diagonal_sums(_gram(aods, config) ** 2)
-    elif scheme is Scheme.HBS:
-        gram = _gram(aods, config)
-        inv = _gram_inverse(gram)
-        # ZF with vector normalization leaves stream k the signal
-        # N |g_k|^2 / (R^-1)_kk and no leakage: G w_i = e_i / (sqrt(N) g_i).
-        # ||R||_F ||R^-1||_F >= cond_2(R), and eps64 * cond_2 is the scale
-        # of the float64 inverse's forward error.  A non-finite inverse fails it.
-        inv_diag = np.diagonal(inv, axis1=1, axis2=2)
-        cond = np.sqrt((gram ** 2).sum(axis=(1, 2))) * np.sqrt((inv ** 2).sum(axis=(1, 2)))
-        good = (_EPS64 * cond <= _FORWARD_TOL) & (inv_diag > 0.0).all(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            signal /= inv_diag
-        flagged = np.nonzero(~good)[0]
+    flagged = np.nonzero(~good)[0]
 
     n_resampled = 0
     for i in flagged:
@@ -247,51 +261,63 @@ def _gain_chunk(aods, gains, config, scheme, seed, start):
     return signal, interference, n_resampled, len(flagged)
 
 
-def check_cell(config: ArrayConfig, n_users: int, scheme: Scheme, snrs, trials: int):
-    """Input checks of one cell; returns its (Scheme, list of SnrPoint)."""
+def check_cell(config: ArrayConfig, n_users: int, schemes, snrs, trials: int):
+    """Input checks of one cell; returns its (tuple of Scheme, list of SnrPoint)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if n_users < 1:
         raise ValueError("n_users (beams) must be >= 1")
-    scheme = Scheme(scheme)
-    if scheme is Scheme.HBS and n_users > config.n_tx:
+    schemes = tuple(Scheme(s) for s in schemes)
+    if not schemes:
+        raise ValueError("at least one scheme is required")
+    if len(set(schemes)) < len(schemes):
+        raise ValueError(f"scheme list {[s.value for s in schemes]} repeats an entry")
+    if Scheme.HBS in schemes and n_users > config.n_tx:
         raise ValueError(f"HBS needs n_users <= n_tx: the equivalent channel of "
                          f"{n_users} users on {config.n_tx} antennas is singular")
     snrs = [p if isinstance(p, SnrPoint) else SnrPoint(float(p)) for p in snrs]
     if not snrs:
         raise ValueError("at least one SNR point is required")
-    return scheme, snrs
+    return schemes, snrs
 
 
-def run_monte_carlo(config: ArrayConfig, n_users: int, scheme: Scheme, snrs,
-                    trials: int, seed: int, *, block=None) -> tuple[MonteCarloEstimate, ...]:
+def run_monte_carlo(config: ArrayConfig, n_users: int, schemes, snrs, trials: int,
+                    seed: int, *, block=None) -> tuple[tuple[MonteCarloEstimate, ...], ...]:
     """Monte Carlo estimates of the expected per-stream SE over an SNR grid.
 
-    ``snrs`` is a non-empty sequence of ``SnrPoint`` or linear SNRs, each
-    finite and positive; a point at which rho times a gain overflows float64
-    raises ``ValueError``.  The trials are simulated once and every point is
-    reduced from the same gains; the result holds one ``MonteCarloEstimate``
-    per point, in the given order.  Streams of one trial are exchangeable
-    under i.i.d. user statistics, so each estimate averages over trials and
-    streams.
+    ``schemes`` is a non-empty sequence of distinct ``Scheme``; ``snrs`` is a
+    non-empty sequence of ``SnrPoint`` or linear SNRs, each finite and
+    positive; a point at which rho times a gain overflows float64 raises
+    ``ValueError``.  The trials are simulated once for all the schemes and
+    every point is reduced from the same gains; the result holds, per scheme
+    in the given order, a tuple of one ``MonteCarloEstimate`` per point, in
+    the given order.  A scheme's estimates are those of a call with that
+    scheme alone.  Streams of one trial are exchangeable under i.i.d. user
+    statistics, so each estimate averages over trials and streams.
 
-    The trials are drawn by ``draw_block`` in this process, unless ``block``,
-    that call's result for this seed, user count and trial count, is given to
+    The trials are drawn by ``draw_blocks`` in this process, unless ``block``,
+    that call's block for this seed, user count and trial count, is given to
     share one draw between cells; the estimates are the same.
     """
-    scheme, snrs = check_cell(config, n_users, scheme, snrs, trials)
+    schemes, snrs = check_cell(config, n_users, schemes, snrs, trials)
     if block is None:
-        block = draw_block(seed, n_users, trials)
+        block = draw_blocks(seed, [n_users], trials)[n_users]
     aods, gains = block
     if aods.shape != (trials, n_users):
         raise ValueError(f"block holds {aods.shape} draws, not (trials, n_users) = "
                          f"{(trials, n_users)}")
 
-    parts = list(zip(*(_gain_chunk(aods[s:s + _CHUNK], gains[s:s + _CHUNK], config, scheme,
-                                   seed, s) for s in range(0, trials, _CHUNK))))
-    signal, interference = np.concatenate(parts[0]), np.concatenate(parts[1])
-    n_resampled, n_fallback = sum(parts[2]), sum(parts[3])
+    per_scheme = zip(*(_gain_chunk(aods[s:s + _CHUNK], gains[s:s + _CHUNK], config, schemes,
+                                   seed, s) for s in range(0, trials, _CHUNK)))
+    return tuple(_estimates(parts, snrs, trials) for parts in per_scheme)
 
+
+def _estimates(parts, snrs, trials):
+    """One scheme's estimate at each SNR point, from its gain stage result
+    (signal, interference, n_resampled, n_fallback) of each chunk."""
+    signals, interferences, resampled, fallback = zip(*parts)
+    signal, interference = np.concatenate(signals), np.concatenate(interferences)
+    n_resampled, n_fallback = sum(resampled), sum(fallback)
     estimates = []
     for rho in snrs:
         # A finite rho can still overflow rho * N |g|^2, which gives a non-finite

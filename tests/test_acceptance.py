@@ -142,9 +142,9 @@ def test_criterion_7_hbs_slope():
                  f"rho-doubling {d1:.12f}, n_tx-doubling {d2:.12f}")
 
     cfg = ArrayConfig(128, 0.5)
-    est24, est30 = run_monte_carlo(cfg, 2, Scheme.HBS,
-                                   [SnrPoint.from_db(24.0), SnrPoint.from_db(30.0)],
-                                   TRIALS, SEED)
+    ((est24, est30),) = run_monte_carlo(cfg, 2, [Scheme.HBS],
+                                        [SnrPoint.from_db(24.0), SnrPoint.from_db(30.0)],
+                                        TRIALS, SEED)
     slope = (est30.mean - est24.mean) / 2.0
     ok &= _report("criterion 7 (simulated slope)", abs(slope - 1.0) <= 0.1,
                   f"{slope:.4f} b/s/Hz per 3 dB")

@@ -134,8 +134,8 @@ def test_saturation_bound_requires_interferer():
 def test_saturation_bound_vs_high_snr_simulation():
     # 32 antennas, 2 users, effectively infinite SNR
     bound = abs_saturation_bound(32, 0.5, 2)
-    (est,) = run_monte_carlo(ArrayConfig(32, 0.5), 2, Scheme.ABS,
-                             [SnrPoint(1e6)], 50000, 77)
+    ((est,),) = run_monte_carlo(ArrayConfig(32, 0.5), 2, [Scheme.ABS],
+                                [SnrPoint(1e6)], 50000, 77)
     assert abs(est.mean - bound) < 0.45
 
 
@@ -182,8 +182,8 @@ def test_hbs_approx_vs_exact_expectation():
 
 def test_hbs_approx_vs_simulation_large_array():
     approx = hbs_se_approx(SnrPoint.from_db(30.0), 128)
-    (est,) = run_monte_carlo(ArrayConfig(128, 0.5), 2, Scheme.NO_INTERFERENCE,
-                             [SnrPoint.from_db(30.0)], 50000, 78)
+    ((est,),) = run_monte_carlo(ArrayConfig(128, 0.5), 2, [Scheme.NO_INTERFERENCE],
+                                [SnrPoint.from_db(30.0)], 50000, 78)
     assert abs(est.mean - approx) < 0.05
 
 

@@ -69,7 +69,7 @@ def test_draw_block_matches_philox_across_partial_chunks(n_paths):
     trials = 5000
     assert -(-trials // semetrics._CHUNK) == 3
     steps = -(-3 * n_paths // 4)
-    aods, gains = semetrics.draw_block(2026, n_paths, trials)
+    aods, gains = semetrics.draw_blocks(2026, [n_paths], trials)[n_paths]
     raw = np.random.Philox(key=2026).random_raw(4 * steps * trials).reshape(trials, -1)
     ref_aods, ref_gains = reference_draws(raw, n_paths)
     for t in range(trials):

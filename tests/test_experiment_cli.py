@@ -43,16 +43,28 @@ def test_config_validation(tmp_path, monkeypatch):
         ExperimentConfig(n_tx_list=(16,), n_beams=2, snr_db_grid=(10.0, 5.0))
     with pytest.raises(ValueError):
         ExperimentConfig(n_tx_list=(), n_beams=2)
+    # a repeated entry wrote the same rows again: n_tx_list=(8, 8) with two
+    # ABS schemes wrote each ABS row four times and the saturation row twice
+    for kwargs in ({"n_tx_list": (8, 8), "schemes": (Scheme.ABS, Scheme.ABS)},
+                   {"n_tx_list": (8, 16, 8)},
+                   {"schemes": (Scheme.HBS, Scheme.ABS, Scheme.HBS)}):
+        with pytest.raises(ValueError, match="repeats an entry"):
+            ExperimentConfig(**{"n_tx_list": (8,), "n_beams": 2, **kwargs})
 
-    # trial and beam counts are checked per cell, before anything is drawn
+    # trial and beam counts and scheme lists are checked per cell, before
+    # anything is drawn
     def no_draw(*args, **kwargs):
         raise AssertionError("drew before the cell checks")
 
-    monkeypatch.setattr(experiment, "draw_block", no_draw)
+    monkeypatch.setattr(experiment, "draw_blocks", no_draw)
     for kwargs, match in (({"trials": 0}, "trials"), ({"n_beams": 0}, "beams")):
         cfg = ExperimentConfig(**{"n_tx_list": (16,), "n_beams": 2, **kwargs})
         with pytest.raises(ValueError, match=match):
             run_sweep(cfg)
+    cells = [(2, ArrayConfig(8), (Scheme.ABS,), [1.0]),
+             (2, ArrayConfig(16), (Scheme.HBS, Scheme.HBS), [1.0])]
+    with pytest.raises(ValueError, match="repeats an entry"):
+        experiment.simulate_cells(cells, 10, 0)
     zero_beams = tmp_path / "zero.cfg"
     zero_beams.write_text("nbeams = 0\n")
     assert main(["sweep", "--config", str(zero_beams)]) == 1
@@ -304,9 +316,10 @@ def test_non_positive_threads_exit_one(capsys):
 @pytest.mark.parametrize("cpus, started", [(64, 2), (1, 1), (None, 1)])
 def test_pool_size_capped(monkeypatch, capsys, cpus, started):
     # ProcessPoolExecutor forks all max_workers processes when it starts, so
-    # --threads 100000 on 2-chunk blocks must ask for no more than one per
-    # chunk and per CPU.  The fake pool records the request and starts none.
-    requested = []
+    # --threads 100000 must ask for no more than one per chunk and per CPU:
+    # a 2-chunk sweep gets `started`.  validate draws its K = 2, 3, 5 blocks,
+    # six chunks, over one pool.  The fake pool records the request and
+    # starts none.
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -320,14 +333,18 @@ def test_pool_size_capped(monkeypatch, capsys, cpus, started):
 
         map = staticmethod(map)
 
-    args = ["sweep", "--ntx", "8", "--trials", str(2 * semetrics._CHUNK), "--no-bounds"]
-    assert main(args) == 0
-    single = capsys.readouterr().out
-    monkeypatch.setattr(semetrics, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert main(args + ["--threads", "100000"]) == 0
-    assert requested == [started]
-    assert capsys.readouterr().out == single
+    trials = ["--trials", str(2 * semetrics._CHUNK)]
+    for args, pool in ((["sweep", "--ntx", "8", "--no-bounds"], started),
+                       (["validate"], min(6, cpus or 1))):
+        requested = []
+        with monkeypatch.context() as patch:
+            code = main(args + trials)
+            single = capsys.readouterr().out
+            patch.setattr(semetrics, "ProcessPoolExecutor", RecordingPool)
+            patch.setattr(os, "cpu_count", lambda: cpus)
+            assert main(args + trials + ["--threads", "100000"]) == code
+        assert requested == [pool]
+        assert capsys.readouterr().out == single
 
 
 def test_non_finite_snr_range_exit_one(capsys):
@@ -402,43 +419,74 @@ def test_seed_out_of_range_exit_one(tmp_path, capsys, command, seed):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_equals_per_cell_calls(workers):
-    # the sweep draws one block for all cells; 32x5 at seed 2026 over 40000
-    # trials includes trial 39902, which only the HBS cell redraws
+def test_sweep_equals_per_cell_calls(monkeypatch, workers):
+    # the sweep draws one block and simulates the array's three schemes in
+    # one call; 32x5 at seed 2026 over 40000 trials includes trial 39902,
+    # which only HBS redraws
     grid = (-10.0, 30.0)
     cfg = ExperimentConfig(n_tx_list=(32,), n_beams=5, snr_db_grid=grid, trials=40000,
                            seed=2026, schemes=tuple(Scheme), bounds=False)
+    calls = []
+
+    def run(config, n_users, schemes, *args, run=experiment.run_monte_carlo, **kwargs):
+        calls.append(schemes)
+        return run(config, n_users, schemes, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_monte_carlo", run)
     rows = run_sweep(cfg, workers=workers)
+    assert calls == [tuple(Scheme)]
     expected = []
     for scheme in Scheme:
-        estimates = run_monte_carlo(ArrayConfig(32, 0.5), 5, scheme,
-                                    [SnrPoint.from_db(x) for x in grid], 40000, 2026)
+        (estimates,) = run_monte_carlo(ArrayConfig(32, 0.5), 5, [scheme],
+                                       [SnrPoint.from_db(x) for x in grid], 40000, 2026)
         expected += [(scheme.value, e.mean, e.std_error, e.n_resampled) for e in estimates]
     assert [(r.label, r.se_mean, r.se_stderr, r.n_resampled) for r in rows] == expected
     assert [r.n_resampled for r in rows] == [0, 0, 1, 1, 0, 0]
 
 
 def test_validation_equals_per_cell_calls(monkeypatch):
-    # three draw blocks (K = 2, 3, 5) serve the eleven cells
-    drawn, groups = [], []
+    # one draw call gives the K = 2, 3, 5 blocks, each drawn once, and six
+    # array cells simulate the eleven (n_tx, scheme) pairs
+    drawn, runs = [], []
 
-    def draw(seed, n_users, trials, workers, draw_block=semetrics.draw_block):
-        drawn.append(n_users)
-        return draw_block(seed, n_users, trials, workers=workers)
+    def draw(seed, user_counts, trials, workers, draw_blocks=semetrics.draw_blocks):
+        drawn.append(list(user_counts))
+        return draw_blocks(seed, user_counts, trials, workers=workers)
 
-    def simulate_cells(n_users, cells, trials, seed, workers, run=experiment.simulate_cells):
-        estimates = run(n_users, cells, trials, seed, workers)
-        groups.append((n_users, cells, estimates))
+    def run(config, n_users, schemes, snrs, trials, seed, *, block,
+            run=experiment.run_monte_carlo):
+        estimates = run(config, n_users, schemes, snrs, trials, seed, block=block)
+        runs.append((config, n_users, schemes, snrs, estimates))
         return estimates
 
-    monkeypatch.setattr(experiment, "draw_block", draw)
-    monkeypatch.setattr(experiment, "simulate_cells", simulate_cells)
+    monkeypatch.setattr(experiment, "draw_blocks", draw)
+    monkeypatch.setattr(experiment, "run_monte_carlo", run)
     assert len(run_validation(trials=300, seed=9)) == 16
-    assert drawn == [2, 3, 5]
-    assert sum(len(cells) for _, cells, _ in groups) == 11
-    for n_users, cells, estimates in groups:
-        for (array, scheme, snrs), cell in zip(cells, estimates):
-            assert cell == run_monte_carlo(array, n_users, scheme, snrs, 300, 9)
+    assert drawn == [[2, 3, 5]]
+    assert len(runs) == 6
+    assert sum(len(schemes) for _, _, schemes, _, _ in runs) == 11
+    for config, n_users, schemes, snrs, estimates in runs:
+        for scheme, scheme_estimates in zip(schemes, estimates):
+            assert (scheme_estimates,) == run_monte_carlo(config, n_users, [scheme], snrs,
+                                                          300, 9)
+
+
+def test_gram_kernel_once_per_chunk_and_array(monkeypatch):
+    # ABS and HBS read the same Gram kernel R of a chunk: a sweep of all
+    # three schemes over two arrays and two chunks computes it four times
+    computed = []
+
+    def gram(aods, config, gram=semetrics._gram):
+        computed.append((config.n_tx, len(aods)))
+        return gram(aods, config)
+
+    monkeypatch.setattr(semetrics, "_gram", gram)
+    cfg = ExperimentConfig(n_tx_list=(8, 16), n_beams=3, snr_db_grid=(0.0, 20.0),
+                           trials=2 * semetrics._CHUNK, seed=3, schemes=tuple(Scheme),
+                           bounds=False)
+    run_sweep(cfg)
+    chunk = semetrics._CHUNK
+    assert computed == [(8, chunk), (8, chunk), (16, chunk), (16, chunk)]
 
 
 def test_cli_import_leaves_numpy_random_unloaded():

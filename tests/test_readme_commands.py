@@ -1,6 +1,8 @@
-"""Every ``beamsteer`` command in the README's code blocks parses.
+"""Every ``beamsteer`` command in the README's code blocks parses, and every
+``python`` block runs.
 
-The commands are only parsed, never run: nothing is simulated.
+The commands are only parsed, never run: nothing is simulated by them.  The
+Python blocks are the library examples; each runs in a fresh namespace.
 """
 
 import re
@@ -12,9 +14,14 @@ from beamsteer.cli import build_parser
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def code_blocks():
+    """(language, body) of each fenced block of the README."""
+    return re.findall(r"^```([^\n]*)\n(.*?)^```", README.read_text(), re.S | re.M)
+
+
 def readme_commands():
     commands = []
-    for block in re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.S | re.M):
+    for _, block in code_blocks():
         for line in block.replace("\\\n", " ").splitlines():
             if line.startswith("beamsteer "):
                 commands.append(shlex.split(line, comments=True)[1:])
@@ -27,3 +34,11 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = [block for language, block in code_blocks() if language.strip() == "python"]
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out

@@ -14,9 +14,14 @@ from beamsteer.beamforming import (DegeneratePrecoder, SingularEquivalentChannel
 from beamsteer.bounds import cross_correlation_expectation
 from beamsteer.channel import child_rng, sample_path_params
 from beamsteer.semetrics import (MonteCarloEstimate, Scheme, SnrPoint, _gain_chunk, _gram,
-                                 _gram_inverse, draw_block, run_monte_carlo, se_from_gains)
+                                 _gram_inverse, draw_blocks, run_monte_carlo, se_from_gains)
 
 from los_reference import PathParams, los_channel
+
+
+def one_block(seed, n_users, trials, workers=1):
+    """The draw stage's block of one user count."""
+    return draw_blocks(seed, [n_users], trials, workers=workers)[n_users]
 
 
 def dense_trial_se(cfg, n_users, scheme, rho, seed, trial):
@@ -68,8 +73,8 @@ def kernel_se(cfg, n_users, scheme, rho, seed, start, count, block=None):
     [start, start + count), one generator call as the draw stage makes it.
     """
     aods, gains = block or sample_path_params(child_rng(seed, n_users, start), n_users, count)
-    signal, interference, resampled, _ = _gain_chunk(aods, gains, cfg, Scheme(scheme), seed,
-                                                     start)
+    ((signal, interference, resampled, _),) = _gain_chunk(aods, gains, cfg, [Scheme(scheme)],
+                                                          seed, start)
     return se_from_gains(signal, interference, rho), resampled
 
 
@@ -149,25 +154,25 @@ def test_low_snr_se_keeps_its_digits():
     # at -120 dB, 1 + SINR rounds away the SINR's low digits: log2(1 + SINR)
     # read the mean 2.4e-8 relative low
     cfg, rho = ArrayConfig(32, 0.5), 1e-12
-    _, gains = draw_block(1, 2, 2000)
+    _, gains = one_block(1, 2, 2000)
     expected = np.mean(np.log1p(rho * cfg.n_tx * np.abs(gains) ** 2) / np.log(2.0))
-    (est,) = run_monte_carlo(cfg, 2, Scheme.NO_INTERFERENCE, [rho], 2000, 1)
+    ((est,),) = run_monte_carlo(cfg, 2, [Scheme.NO_INTERFERENCE], [rho], 2000, 1)
     assert est.mean == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_monte_carlo_determinism():
     cfg = ArrayConfig(8, 0.5)
-    a = run_monte_carlo(cfg, 2, Scheme.ABS, [SnrPoint.from_db(10)], 500, 99)
-    b = run_monte_carlo(cfg, 2, Scheme.ABS, [SnrPoint.from_db(10)], 500, 99)
+    a = run_monte_carlo(cfg, 2, [Scheme.ABS], [SnrPoint.from_db(10)], 500, 99)
+    b = run_monte_carlo(cfg, 2, [Scheme.ABS], [SnrPoint.from_db(10)], 500, 99)
     assert a == b
 
 
 def test_monte_carlo_worker_count_invariance():
     cfg = ArrayConfig(8, 0.5)
-    own = run_monte_carlo(cfg, 3, Scheme.HBS, [100.0], 5000, 7)
+    own = run_monte_carlo(cfg, 3, [Scheme.HBS], [100.0], 5000, 7)
     for workers in (1, 3):
-        block = draw_block(7, 3, 5000, workers=workers)
-        assert run_monte_carlo(cfg, 3, Scheme.HBS, [100.0], 5000, 7, block=block) == own
+        block = one_block(7, 3, 5000, workers=workers)
+        assert run_monte_carlo(cfg, 3, [Scheme.HBS], [100.0], 5000, 7, block=block) == own
 
 
 def test_no_interference_single_antenna_vs_quadrature():
@@ -175,8 +180,8 @@ def test_no_interference_single_antenna_vs_quadrature():
     expected, err = quad(lambda x: np.log2(1 + x) * np.exp(-x), 0, np.inf)
     assert err < 1e-9
     assert expected == pytest.approx(0.8608, abs=5e-4)
-    (est,) = run_monte_carlo(ArrayConfig(1), 1, Scheme.NO_INTERFERENCE,
-                             [SnrPoint.from_db(0.0)], 200000, 31)
+    ((est,),) = run_monte_carlo(ArrayConfig(1), 1, [Scheme.NO_INTERFERENCE],
+                                [SnrPoint.from_db(0.0)], 200000, 31)
     assert abs(est.mean - expected) < 4 * est.std_error
 
 
@@ -186,8 +191,8 @@ def test_no_interference_matches_exact_rayleigh_mean(n_tx, n_users):
     # SINR_k = a x_k with a = rho N and x_k = |g_k|^2 ~ Exp(1), and
     # E ln(1 + a x) = e^{1/a} E1(1/a) (Alouini & Goldsmith 1999)
     snrs = [SnrPoint.from_db(0.0), SnrPoint.from_db(30.0)]
-    estimates = run_monte_carlo(ArrayConfig(n_tx), n_users, Scheme.NO_INTERFERENCE, snrs,
-                                20000, 2026)
+    (estimates,) = run_monte_carlo(ArrayConfig(n_tx), n_users, [Scheme.NO_INTERFERENCE], snrs,
+                                   20000, 2026)
     for snr, est in zip(snrs, estimates):
         a = snr.rho_linear * n_tx
         exact = np.exp(1 / a) * exp1(1 / a) / np.log(2)
@@ -196,7 +201,7 @@ def test_no_interference_matches_exact_rayleigh_mean(n_tx, n_users):
 
 def test_block_cross_correlation_matches_closed_form():
     # the mean |G_12|^2 of the draw stage's angles is E|a(phi1)^H a(phi2)|^2
-    aods, _ = draw_block(2026, 2, 50000)
+    aods, _ = one_block(2026, 2, 50000)
     for n_tx in (16, 32, 128):
         c = _gram(aods, ArrayConfig(n_tx))[:, 0, 1] ** 2
         expected = cross_correlation_expectation(n_tx, 0.5)
@@ -212,7 +217,7 @@ def test_batch_path_matches_module_operations():
     rho = 316.0
     trials = 2048
     for scheme in Scheme:
-        (est,) = run_monte_carlo(cfg, 5, scheme, [rho], trials, 2026)
+        ((est,),) = run_monte_carlo(cfg, 5, [scheme], [rho], trials, 2026)
         block, _ = kernel_se(cfg, 5, scheme, rho, 2026, 0, trials)
         ref, attempts, tol = dense_se(cfg, 5, scheme, rho, 2026, 0, trials)
         assert np.all(np.abs(block - ref).max(axis=1) <= tol)
@@ -340,7 +345,7 @@ def test_hbs_kernel_matches_extended_gram_reference():
     # these is redrawn: seed 2026's first singular draw at 32x5 is trial 39902.
     cfg = ArrayConfig(32, 0.5)
     trials, rho = 20000, 1000.0
-    aods, gains = draw_block(2026, 5, trials)
+    aods, gains = one_block(2026, 5, trials)
     se, resampled = kernel_se(cfg, 5, Scheme.HBS, rho, 2026, 0, trials, block=(aods, gains))
     gram = extended_gram(aods, cfg)
     inv_diag = np.einsum("tkk->tk", gauss_jordan_inverse(gram)).real
@@ -360,14 +365,14 @@ def test_singular_trial_flags_only_itself():
     # which redraws it; every other trial keeps the signal and interference
     # the batched inverse gives it without trial 5's change.
     cfg = ArrayConfig(16, 0.5)
-    clean = draw_block(2026, 2, 64)
-    *clean_gains, _, clean_flagged = _gain_chunk(*clean, cfg, Scheme.HBS, 2026, 0)
+    clean = one_block(2026, 2, 64)
+    ((*clean_gains, _, clean_flagged),) = _gain_chunk(*clean, cfg, [Scheme.HBS], 2026, 0)
     assert clean_flagged == 0
     aods = clean[0].copy()
     aods[5, 1] = aods[5, 0]
     finite = np.isfinite(_gram_inverse(_gram(aods, cfg))).all(axis=(1, 2))
     assert finite.tolist() == [t != 5 for t in range(64)]
-    *gains, resampled, flagged = _gain_chunk(aods, clean[1], cfg, Scheme.HBS, 2026, 0)
+    ((*gains, resampled, flagged),) = _gain_chunk(aods, clean[1], cfg, [Scheme.HBS], 2026, 0)
     assert (resampled, flagged) == (1, 1)
     others = np.arange(64) != 5
     for got, want in zip(gains, clean_gains):
@@ -386,42 +391,44 @@ def test_fallback_count_matches_chain_calls():
         return f
 
     with mock.patch.object(semetrics, "hbs_beamformer_set", counted):
-        (est,) = run_monte_carlo(cfg, 5, Scheme.HBS, [316.0], 2048, 2026)
+        ((est,),) = run_monte_carlo(cfg, 5, [Scheme.HBS], [316.0], 2048, 2026)
     assert est.n_fallback == len(returned) > 0
     for scheme in (Scheme.ABS, Scheme.NO_INTERFERENCE):
-        assert run_monte_carlo(cfg, 5, scheme, [316.0], 2048, 2026)[0].n_fallback == 0
+        assert run_monte_carlo(cfg, 5, [scheme], [316.0], 2048, 2026)[0][0].n_fallback == 0
 
 
 @pytest.mark.parametrize("n_tx, n_fallback", [(32, 27), (128, 7)])
 def test_fallback_count_at_seed_2026(n_tx, n_fallback):
     # the unpivoted elimination flags the trials a pivoted LAPACK solve of R
     # flagged: 27 and 7 of 4096 at seed 2026
-    (est,) = run_monte_carlo(ArrayConfig(n_tx, 0.5), 5, Scheme.HBS, [1000.0], 4096, 2026)
+    ((est,),) = run_monte_carlo(ArrayConfig(n_tx, 0.5), 5, [Scheme.HBS], [1000.0], 4096, 2026)
     assert (est.n_fallback, est.n_resampled) == (n_fallback, 0)
 
 
 def test_chunk_size_invariance(monkeypatch):
     cfg = ArrayConfig(32, 0.5)
-    default = run_monte_carlo(cfg, 5, Scheme.HBS, [316.0], 2048, 2026)
+    default = run_monte_carlo(cfg, 5, [Scheme.HBS], [316.0], 2048, 2026)
     monkeypatch.setattr(semetrics, "_CHUNK", 333)
-    assert run_monte_carlo(cfg, 5, Scheme.HBS, [316.0], 2048, 2026) == default
+    assert run_monte_carlo(cfg, 5, [Scheme.HBS], [316.0], 2048, 2026) == default
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_snr_grid_equals_one_point_calls(workers):
-    # One simulation reduced at every point of an unsorted grid with a
-    # repeated point equals a simulation per point.  32x5 at seed 2026 with
-    # 40000 trials covers the HBS fallback and trial 39902's redraw.
+    # One simulation of every scheme reduced at every point of an unsorted
+    # grid with a repeated point equals a simulation per scheme and point.
+    # 32x5 at seed 2026 with 40000 trials covers the HBS fallback and trial
+    # 39902's redraw.
     cfg = ArrayConfig(32, 0.5)
     trials = 40000
     assert trials > semetrics._CHUNK
     snrs = [SnrPoint.from_db(30.0), 0.5, SnrPoint.from_db(-10.0), SnrPoint.from_db(30.0)]
-    for scheme in Scheme:
-        grid = run_monte_carlo(cfg, 5, scheme, snrs, trials, 2026,
-                               block=draw_block(2026, 5, trials, workers=workers))
-        assert grid == tuple(run_monte_carlo(cfg, 5, scheme, [snr], trials, 2026)[0]
-                             for snr in snrs)
-        assert grid[0].n_resampled == (1 if scheme is Scheme.HBS else 0)
+    grid = run_monte_carlo(cfg, 5, list(Scheme), snrs, trials, 2026,
+                           block=one_block(2026, 5, trials, workers=workers))
+    assert len(grid) == len(Scheme)
+    for scheme, estimates in zip(Scheme, grid):
+        assert estimates == tuple(run_monte_carlo(cfg, 5, [scheme], [snr], trials, 2026)[0][0]
+                                  for snr in snrs)
+        assert estimates[0].n_resampled == (1 if scheme is Scheme.HBS else 0)
 
 
 @pytest.mark.parametrize("n_users", range(1, 7))
@@ -432,7 +439,7 @@ def test_draw_block_is_stacked_per_trial_draws(n_users):
     for seed, start, count in ((2026, 0, 7), (0, semetrics._CHUNK - 3, 6), (7, 10**6, 3),
                                (2**32 - 1, 1, semetrics._CHUNK + 5),
                                (2**32 - 1, 0, semetrics._CHUNK + 5)):
-        aods, gains = (draw_block(seed, n_users, count) if start == 0 else
+        aods, gains = (one_block(seed, n_users, count) if start == 0 else
                        sample_path_params(child_rng(seed, n_users, start), n_users, count))
         ref_aods, ref_gains = zip(*(sample_path_params(child_rng(seed, n_users, t), n_users)
                                     for t in range(start, start + count)))
@@ -442,24 +449,27 @@ def test_draw_block_is_stacked_per_trial_draws(n_users):
 
 
 def test_draw_block_pooled_equals_in_process():
+    # one pool draws the chunks of every user count's block
     count = 2 * semetrics._CHUNK + 5
-    single = sample_path_params(child_rng(11, 4, 0), 4, count)
-    pooled = draw_block(11, 4, count, workers=2)
-    for a, b in zip(single, pooled):
-        assert a.tobytes() == b.tobytes()
-        assert not b.flags.writeable
+    pooled = draw_blocks(11, [4, 2], count, workers=2)
+    assert list(pooled) == [4, 2]
+    for n_users, block in pooled.items():
+        single = sample_path_params(child_rng(11, n_users, 0), n_users, count)
+        for a, b in zip(single, block):
+            assert a.tobytes() == b.tobytes()
+            assert not b.flags.writeable
 
 
 def test_run_monte_carlo_rejects_block_of_other_shape():
-    block = draw_block(5, 2, 10)
+    block = one_block(5, 2, 10)
     with pytest.raises(ValueError, match="block"):
-        run_monte_carlo(ArrayConfig(8), 2, Scheme.ABS, [1.0], 11, 5, block=block)
+        run_monte_carlo(ArrayConfig(8), 2, [Scheme.ABS], [1.0], 11, 5, block=block)
     with pytest.raises(ValueError, match="block"):
-        run_monte_carlo(ArrayConfig(8), 3, Scheme.ABS, [1.0], 10, 5, block=block)
+        run_monte_carlo(ArrayConfig(8), 3, [Scheme.ABS], [1.0], 10, 5, block=block)
 
 
 def test_draw_block_is_read_only():
-    aods, gains = draw_block(2026, 3, 4)
+    aods, gains = one_block(2026, 3, 4)
     for array in (aods, gains):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -468,7 +478,7 @@ def test_draw_block_is_read_only():
 
 def test_empty_snr_grid_rejected():
     with pytest.raises(ValueError, match="SNR"):
-        run_monte_carlo(ArrayConfig(4), 2, Scheme.ABS, [], 10, 0)
+        run_monte_carlo(ArrayConfig(4), 2, [Scheme.ABS], [], 10, 0)
 
 
 def test_monotone_in_snr_for_interference_free_schemes():
@@ -519,14 +529,14 @@ def test_hbs_equals_own_zero_interference_se():
 
 def test_stderr_shrinks_with_trials():
     cfg = ArrayConfig(8, 0.5)
-    (a,) = run_monte_carlo(cfg, 2, Scheme.ABS, [100.0], 4000, 50)
-    (b,) = run_monte_carlo(cfg, 2, Scheme.ABS, [100.0], 8000, 51)
+    ((a,),) = run_monte_carlo(cfg, 2, [Scheme.ABS], [100.0], 4000, 50)
+    ((b,),) = run_monte_carlo(cfg, 2, [Scheme.ABS], [100.0], 8000, 51)
     ratio = b.std_error / a.std_error
     assert 0.8 * (1 / np.sqrt(2)) < ratio < 1.2 * (1 / np.sqrt(2))
 
 
 def test_estimate_fields():
-    (est,) = run_monte_carlo(ArrayConfig(4), 2, Scheme.ABS, [10.0], 300, 1)
+    ((est,),) = run_monte_carlo(ArrayConfig(4), 2, [Scheme.ABS], [10.0], 300, 1)
     assert isinstance(est, MonteCarloEstimate)
     assert est.n_trials == 300
     assert est.n_resampled == 0
@@ -535,23 +545,26 @@ def test_estimate_fields():
 
 def test_invalid_parameters():
     with pytest.raises(ValueError):
-        run_monte_carlo(ArrayConfig(4), 0, Scheme.ABS, [1.0], 10, 0)
+        run_monte_carlo(ArrayConfig(4), 0, [Scheme.ABS], [1.0], 10, 0)
     with pytest.raises(ValueError):
-        run_monte_carlo(ArrayConfig(4), 2, Scheme.ABS, [1.0], 0, 0)
+        run_monte_carlo(ArrayConfig(4), 2, [Scheme.ABS], [1.0], 0, 0)
+    for schemes in ([], [Scheme.ABS, Scheme.HBS, Scheme.ABS], ["HBS", Scheme.HBS]):
+        with pytest.raises(ValueError, match="scheme"):
+            run_monte_carlo(ArrayConfig(4), 2, schemes, [1.0], 10, 0)
 
 
 @pytest.mark.parametrize("rho", [float("nan"), -1.0, 0.0, float("inf")])
 def test_raw_rho_validated(rho):
     with pytest.raises(ValueError):
-        run_monte_carlo(ArrayConfig(4), 2, Scheme.ABS, [rho], 10, 0)
+        run_monte_carlo(ArrayConfig(4), 2, [Scheme.ABS], [rho], 10, 0)
 
 
 def test_hbs_more_users_than_antennas_rejected():
     with pytest.raises(ValueError, match=r"3 users on 2 antennas"):
-        run_monte_carlo(ArrayConfig(2), 3, Scheme.HBS, [10.0], 2, 0)
+        run_monte_carlo(ArrayConfig(2), 3, [Scheme.HBS], [10.0], 2, 0)
     # the analog schemes stay defined for K > n_tx
     for scheme in (Scheme.ABS, Scheme.NO_INTERFERENCE):
-        assert np.isfinite(run_monte_carlo(ArrayConfig(2), 3, scheme, [10.0], 20, 0)[0].mean)
+        assert np.isfinite(run_monte_carlo(ArrayConfig(2), 3, [scheme], [10.0], 20, 0)[0][0].mean)
 
 
 # Property tests: small trial counts over random geometry, seeds and SNRs.
