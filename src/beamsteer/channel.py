@@ -114,7 +114,7 @@ def sample_path_params(stream, n_paths: int, count: int | None = None):
     Returns (aods, gains) of shape (n_paths,), or (count, n_paths): aod ~
     U[0, 2*pi), gain ~ CN(0, 1).  Each trial reads 4 ceil(3 n_paths / 4)
     uniforms in the layout above; every consumer (the batched
-    ``semetrics.draw_block`` too) draws here, so the draw order is fixed in
+    ``semetrics.draw_blocks`` too) draws here, so the draw order is fixed in
     one place.
     """
     steps = _counter_steps(n_paths)

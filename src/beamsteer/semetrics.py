@@ -32,7 +32,10 @@ With the power N |g_k|^2 as signal, NoInterference has no interference and
 needs no angles, and ABS has the interference N |g_k|^2 sum_{i != k}
 R_ki^2.  The hybrid scheme (ZF on H_hat, then vector normalization) has the
 signal N |g_k|^2 / (R^-1)_kk and no interference, from one real float64
-inverse per chunk, ``_gram_inverse``.  A trial that inverse cannot be
+inverse per chunk, ``_gram_inverse``.  The kernel runs trials last: a
+chunk's R is one (K, K, T) array, so every elementwise step of R, of its
+inverse and of the sums over them covers a contiguous run of T trials; the
+schemes still give (T, K) gains.  A trial that inverse cannot be
 trusted for (a condition bound eps64 ||R||_F ||R^-1||_F above 5e-10, or a
 non-positive or non-finite diagonal entry, which the zero pivot of an
 exactly singular R gives) is recomputed from its own n_tx-long channel rows
@@ -42,7 +45,8 @@ stream: the same counters under the key word of attempt 1, 2, ...
 The redraw stays local to the cell: the shared block is never written.
 ``MonteCarloEstimate.n_fallback`` counts those trials.  SNR enters only in
 the SE reduction ``se_from_gains``, so one simulation serves a whole SNR
-grid.  An SNR point is an ``SnrPoint``, one linear value that its
+grid; a scheme's points are reduced in place, in two (T, K) arrays made
+once.  An SNR point is an ``SnrPoint``, one linear value that its
 constructor checks to be finite and positive; ``check_cell`` checks every
 other input of a cell before anything is drawn.
 
@@ -113,19 +117,31 @@ class MonteCarloEstimate:
     n_fallback: int  # trials computed by the extended-precision chain
 
 
-def se_from_gains(signal: np.ndarray, interference: np.ndarray, rho_lin: float) -> np.ndarray:
-    """Per-stream SE log2(1 + SINR), bits/s/Hz, from (..., K) arrays of
-    |h_k f_k|^2 and sum_{i != k} |h_k f_i|^2: SINR = rho s / (rho i + 1),
-    through log1p, which keeps the digits of a small SINR that 1 + SINR loses."""
-    return np.log1p(rho_lin * signal / (rho_lin * interference + 1.0)) / np.log(2.0)
+def se_from_gains(signal, interference, rho_lin: float, out=None) -> np.ndarray:
+    """Per-stream SE log2(1 + SINR), bits/s/Hz, from |h_k f_k|^2 and
+    sum_{i != k} |h_k f_i|^2, (..., K) arrays or scalars that broadcast:
+    SINR = rho s / (rho i + 1), through log1p, which keeps the digits of a
+    small SINR that 1 + SINR loses.  ``out``, a pair of float arrays of the
+    broadcast shape, takes the SE and the denominator, so that a caller that
+    reduces many SNR points makes no new array; by default both are new."""
+    shape = np.broadcast_shapes(np.shape(signal), np.shape(interference))
+    se, den = out or (np.empty(shape), np.empty(shape))
+    np.multiply(rho_lin, signal, out=se)
+    np.multiply(rho_lin, interference, out=den)
+    den += 1.0
+    se /= den
+    np.log1p(se, out=se)
+    se /= np.log(2.0)
+    return se
 
 
 def _off_diagonal_sums(m):
-    """Sums over i != k of each row k of m (..., K, K), overwriting m's diagonal;
-    the row sum minus m_kk would cancel the digits of a leakage far below it."""
-    n = m.shape[-1]
-    m[..., range(n), range(n)] = 0.0
-    return m.sum(axis=-1)
+    """Sums over i != k of each row k of m (K, K, ...), overwriting m's diagonal;
+    the row sum minus m_kk would cancel the digits of a leakage far below it.
+    On the trials-last (K, K, T) kernel each term is a contiguous row of T."""
+    n = len(m)
+    m[range(n), range(n)] = 0.0
+    return m.sum(axis=1)
 
 
 def _los(aods, gains, config):
@@ -134,41 +150,44 @@ def _los(aods, gains, config):
 
 
 def _gram(aods, config):
-    """Real Gram matrices R of the unit-norm steering columns, (..., K, K).
+    """Real Gram matrices R of the unit-norm steering columns, trials last:
+    (K, K, T) from (T, K) angles, (K, K) from one trial's (K,).
 
     R_ki = sin(N delta/2) / (N sin(delta/2)), delta = zeta_i - zeta_k, at the
-    K(K-1)/2 lags i > k, mirrored (sin is odd: the bytes of the lag -delta).
-    numpy's sine reduces its argument against pi exactly, so near a lag of
-    +-2 pi both sines keep their relative accuracy and the ratio does not
-    cancel.  Where sin(delta/2) is zero the users' columns coincide: R is 1.
+    K(K-1)/2 lags i > k, each a contiguous row of T, mirrored (sin is odd: the
+    bytes of the lag -delta).  numpy's sine reduces its argument against pi
+    exactly, so near a lag of +-2 pi both sines keep their relative accuracy
+    and the ratio does not cancel.  Where sin(delta/2) is zero the users'
+    columns coincide: R is 1.
     """
     n_tx = config.n_tx
-    zeta = phase_progression(aods, config)
-    n_users = zeta.shape[-1]
+    zeta = phase_progression(aods.T, config)
+    n_users = len(zeta)
     k, i = np.triu_indices(n_users, 1)
-    delta = zeta[..., i] - zeta[..., k]
+    delta = zeta[i] - zeta[k]
     den = n_tx * np.sin(delta / 2.0)
     coincident = den == 0.0
     ratio = np.sin(n_tx * delta / 2.0) / np.where(coincident, 1.0, den)
-    r = np.ones(zeta.shape + (n_users,))
-    r[..., k, i] = r[..., i, k] = np.where(coincident, 1.0, ratio)
+    r = np.ones((n_users,) + zeta.shape)
+    r[k, i] = r[i, k] = np.where(coincident, 1.0, ratio)
     return r
 
 
 def _gram_inverse(r):
-    """Inverses of a (T, K, K) stack of Gram kernels R, by in-place Gauss-Jordan
-    elimination vectorised over the trials.  R is symmetric positive definite
-    with unit diagonal, so it needs no pivoting; an exactly singular R meets a
-    zero pivot, which leaves that trial's inverse, and no other, non-finite."""
+    """Inverses of trials-last (K, K, T) Gram kernels R, by in-place Gauss-Jordan
+    elimination vectorised over the trials: every step works on contiguous
+    rows of T.  R is symmetric positive definite with unit diagonal, so it
+    needs no pivoting; an exactly singular R meets a zero pivot, which leaves
+    that trial's inverse, and no other, non-finite."""
     inv = r.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(r.shape[-1]):
-            col = inv[:, :, k].copy()
-            inv[:, :, k] = 0.0
-            inv[:, k, k] = 1.0
-            inv[:, k] /= col[:, k, None]
-            col[:, k] = 0.0
-            inv -= col[:, :, None] * inv[:, None, k]
+        for k in range(len(r)):
+            col = inv[:, k].copy()
+            inv[:, k] = 0.0
+            inv[k, k] = 1.0
+            inv[k] /= col[k]
+            col[k] = 0.0
+            inv -= col[:, None] * inv[k]
     return inv
 
 
@@ -186,13 +205,13 @@ def draw_blocks(seed: int, user_counts, trials: int, workers: int = 1):
     trials, which keeps the kernel's temporaries small; with ``workers > 1``
     the chunks of every block are drawn over one process pool, and the values
     do not depend on it.  The pool starts all its processes at once, so it
-    gets no more than one per chunk and per CPU.
+    gets no more than one per chunk and per CPU, and none where that cap is 1.
     """
     blocks = {k: (np.empty((trials, k)), np.empty((trials, k), dtype=complex))
               for k in user_counts}
     jobs = [(k, s) for k in blocks for s in range(0, trials, _CHUNK)]
-    pool = (ProcessPoolExecutor(max_workers=min(workers, len(jobs), os.cpu_count() or 1))
-            if workers > 1 and len(jobs) > 1 else None)
+    processes = min(workers, len(jobs), os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(max_workers=processes) if processes > 1 else None
     with pool or nullcontext():
         parts = (pool.map if pool else map)(_draw_chunk, repeat(seed), *zip(*jobs),
                                             [min(_CHUNK, trials - s) for _, s in jobs])
@@ -214,7 +233,7 @@ def _gain_chunk(aods, gains, config, schemes, seed, start):
     out = []
     for scheme in schemes:
         if scheme is Scheme.ABS:
-            out.append((power, power * _off_diagonal_sums(gram ** 2), 0, 0))
+            out.append((power, power * _off_diagonal_sums(gram ** 2).T, 0, 0))
         elif scheme is Scheme.HBS:
             out.append(_hbs_chunk(aods, gains, config, gram, power, seed, start))
         else:
@@ -230,8 +249,8 @@ def _hbs_chunk(aods, gains, config, gram, power, seed, start):
     # N |g_k|^2 / (R^-1)_kk and no leakage: G w_i = e_i / (sqrt(N) g_i).
     # ||R||_F ||R^-1||_F >= cond_2(R), and eps64 * cond_2 is the scale
     # of the float64 inverse's forward error.  A non-finite inverse fails it.
-    inv_diag = np.diagonal(inv, axis1=1, axis2=2)
-    cond = np.sqrt((gram ** 2).sum(axis=(1, 2))) * np.sqrt((inv ** 2).sum(axis=(1, 2)))
+    inv_diag = np.diagonal(inv)
+    cond = np.sqrt((gram ** 2).sum(axis=(0, 1))) * np.sqrt((inv ** 2).sum(axis=(0, 1)))
     good = (_EPS64 * cond <= _FORWARD_TOL) & (inv_diag > 0.0).all(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         signal = power / inv_diag
@@ -318,20 +337,26 @@ def _estimates(parts, snrs, trials):
     signals, interferences, resampled, fallback = zip(*parts)
     signal, interference = np.concatenate(signals), np.concatenate(interferences)
     n_resampled, n_fallback = sum(resampled), sum(fallback)
+    buffers = np.empty(signal.shape), np.empty(signal.shape)
+    flat, n = buffers[0].ravel(), signal.size
     estimates = []
     for rho in snrs:
         # A finite rho can still overflow rho * N |g|^2, which gives a non-finite
         # SE, or only the rho * interference of a stream, whose SE then reads 0.
         try:
             with np.errstate(over="raise"):
-                flat = se_from_gains(signal, interference, rho.rho_linear).ravel()
+                se_from_gains(signal, interference, rho.rho_linear, out=buffers)
         except FloatingPointError:
             raise ValueError(f"SE at SNR {10.0 * np.log10(rho.rho_linear):.6g} dB cannot be "
                              f"computed: rho * n_tx |g|^2 overflows float64") from None
-        std = flat.std(ddof=1) if flat.size > 1 else 0.0
+        mean = flat.mean()
+        # flat.std(ddof=1) from this mean, in place: the same float operations
+        flat -= mean
+        flat *= flat
+        std = np.sqrt(flat.sum() / (n - 1)) if n > 1 else 0.0
         estimates.append(MonteCarloEstimate(
-            mean=float(flat.mean()),
-            std_error=float(std / np.sqrt(flat.size)),
+            mean=float(mean),
+            std_error=float(std / np.sqrt(n)),
             n_trials=trials,
             n_resampled=n_resampled,
             n_fallback=n_fallback,

@@ -313,13 +313,14 @@ def test_non_positive_threads_exit_one(capsys):
         assert "--threads" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cpus, started", [(64, 2), (1, 1), (None, 1)])
-def test_pool_size_capped(monkeypatch, capsys, cpus, started):
+@pytest.mark.parametrize("cpus, cap", [(64, 2), (1, 1), (None, 1)])
+def test_pool_size_capped(monkeypatch, capsys, cpus, cap):
     # ProcessPoolExecutor forks all max_workers processes when it starts, so
     # --threads 100000 must ask for no more than one per chunk and per CPU:
-    # a 2-chunk sweep gets `started`.  validate draws its K = 2, 3, 5 blocks,
-    # six chunks, over one pool.  The fake pool records the request and
-    # starts none.
+    # a 2-chunk sweep's cap is `cap`.  validate draws its K = 2, 3, 5 blocks,
+    # six chunks, over one pool.  Where that cap is 1 no pool is requested:
+    # one worker would only add its start-up to the in-process draw.  The
+    # fake pool records the request and starts none.
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -334,7 +335,7 @@ def test_pool_size_capped(monkeypatch, capsys, cpus, started):
         map = staticmethod(map)
 
     trials = ["--trials", str(2 * semetrics._CHUNK)]
-    for args, pool in ((["sweep", "--ntx", "8", "--no-bounds"], started),
+    for args, pool in ((["sweep", "--ntx", "8", "--no-bounds"], cap),
                        (["validate"], min(6, cpus or 1))):
         requested = []
         with monkeypatch.context() as patch:
@@ -343,7 +344,7 @@ def test_pool_size_capped(monkeypatch, capsys, cpus, started):
             patch.setattr(semetrics, "ProcessPoolExecutor", RecordingPool)
             patch.setattr(os, "cpu_count", lambda: cpus)
             assert main(args + trials + ["--threads", "100000"]) == code
-        assert requested == [pool]
+        assert requested == ([pool] if pool > 1 else [])
         assert capsys.readouterr().out == single
 
 

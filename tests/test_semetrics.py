@@ -203,7 +203,8 @@ def test_block_cross_correlation_matches_closed_form():
     # the mean |G_12|^2 of the draw stage's angles is E|a(phi1)^H a(phi2)|^2
     aods, _ = one_block(2026, 2, 50000)
     for n_tx in (16, 32, 128):
-        c = _gram(aods, ArrayConfig(n_tx))[:, 0, 1] ** 2
+        c = _gram(aods, ArrayConfig(n_tx))[0, 1] ** 2
+        assert c.shape == (50000,)
         expected = cross_correlation_expectation(n_tx, 0.5)
         assert abs(c.mean() - expected) <= 4 * c.std(ddof=1) / np.sqrt(c.size)
 
@@ -266,8 +267,8 @@ def test_gram_matches_steering_products(n_tx, spacing):
     assert gram.dtype == np.float64
     assert np.array_equal(gram, gram.T)
     assert np.array_equal(np.diagonal(gram), np.ones(len(aods)))
-    # batched over leading axes
-    assert np.array_equal(_gram(np.stack([aods, aods[::-1]]), cfg)[1],
+    # batched over (T, K) angles, trials last
+    assert np.array_equal(_gram(np.stack([aods, aods[::-1]]), cfg)[..., 1],
                           gram[::-1, ::-1])
 
 
@@ -358,6 +359,22 @@ def test_hbs_kernel_matches_extended_gram_reference():
     assert err.max() <= 1e-9, f"trial {np.argmax(err)} off by {err.max():.3g}"
 
 
+def test_gram_inverse_residual_within_condition_bound():
+    # R R^-1 - I of every trial the flag keeps is within 100 eps64 times the
+    # Frobenius condition bound; 32x5 at seed 2026 flags some of the chunk.
+    cfg = ArrayConfig(32, 0.5)
+    aods, gains = one_block(2026, 5, 2048)
+    gram = _gram(aods, cfg)
+    inv = _gram_inverse(gram)
+    eps = np.finfo(float).eps
+    cond = np.sqrt((gram ** 2).sum(axis=(0, 1)) * (inv ** 2).sum(axis=(0, 1)))
+    kept = (eps * cond <= semetrics._FORWARD_TOL) & (np.diagonal(inv) > 0).all(axis=1)
+    ((*_, flagged),) = _gain_chunk(aods, gains, cfg, [Scheme.HBS], 2026, 0)
+    assert 0 < flagged == np.count_nonzero(~kept)
+    residual = np.einsum("ijt,jkt->ikt", gram, inv) - np.eye(5)[..., None]
+    assert (np.abs(residual).max(axis=(0, 1))[kept] <= 100 * eps * cond[kept]).all()
+
+
 def test_singular_trial_flags_only_itself():
     # Trial 5's two users coincide, so its real Gram matrix R is exactly
     # singular: the chunk's batched elimination meets a zero pivot in that
@@ -370,8 +387,10 @@ def test_singular_trial_flags_only_itself():
     assert clean_flagged == 0
     aods = clean[0].copy()
     aods[5, 1] = aods[5, 0]
-    finite = np.isfinite(_gram_inverse(_gram(aods, cfg))).all(axis=(1, 2))
-    assert finite.tolist() == [t != 5 for t in range(64)]
+    inv = _gram_inverse(_gram(aods, cfg))
+    assert inv.shape == (2, 2, 64)
+    assert not np.isfinite(inv[..., 5]).any()
+    assert np.isfinite(inv).all(axis=(0, 1)).tolist() == [t != 5 for t in range(64)]
     ((*gains, resampled, flagged),) = _gain_chunk(aods, clean[1], cfg, [Scheme.HBS], 2026, 0)
     assert (resampled, flagged) == (1, 1)
     others = np.arange(64) != 5
@@ -541,6 +560,10 @@ def test_estimate_fields():
     assert est.n_trials == 300
     assert est.n_resampled == 0
     assert est.std_error > 0
+    # the in-place reduction makes the float operations of numpy's mean and std
+    se, _ = kernel_se(ArrayConfig(4), 2, Scheme.ABS, 10.0, 1, 0, 300)
+    assert est.mean == se.mean()
+    assert est.std_error == se.std(ddof=1) / np.sqrt(se.size)
 
 
 def test_invalid_parameters():
