@@ -34,8 +34,9 @@ class UsageError(argparse.ArgumentTypeError):
 def parse_snr_spec(spec: str):
     """SNR grid in dB: comma list ("-10,0,10") or start:step:stop (inclusive).
 
-    Every value must be finite and a list strictly increasing; a range may
-    hold at most SNR_GRID_MAX points, counted before the grid is built.
+    Every value must be finite; a range of at most SNR_GRID_MAX points, counted
+    before it is built, has point i at round(start + i*step, 10).  The grid must
+    be strictly increasing, which a range whose step vanishes in rounding is not.
     """
     spec = spec.strip()
     is_range = ":" in spec
@@ -49,21 +50,14 @@ def parse_snr_spec(spec: str):
         raise UsageError(f"bad SNR spec {spec!r}; use 'a,b,c' or 'start:step:stop'")
     if not all(math.isfinite(x) for x in values):
         raise UsageError(f"SNR spec {spec!r}: values must be finite")
-    if not is_range:
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise UsageError(f"SNR list {spec!r} must be strictly increasing")
-        return tuple(values)
-    too_many = f"SNR range {spec!r} has more than {SNR_GRID_MAX} points"
-    if not (stop + 1e-9 - start) / step < SNR_GRID_MAX:
-        raise UsageError(too_many)
-    grid = []
-    v = start
-    while v <= stop + 1e-9:
-        if len(grid) == SNR_GRID_MAX:  # the repeated sum drifted or stalled
-            raise UsageError(too_many)
-        grid.append(round(v, 10))
-        v += step
-    return tuple(grid)
+    if is_range:
+        count = (stop + 1e-9 - start) / step
+        if not count < SNR_GRID_MAX:
+            raise UsageError(f"SNR range {spec!r} has more than {SNR_GRID_MAX} points")
+        values = [round(start + i * step, 10) for i in range(int(count) + 1)]
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise UsageError(f"SNR grid {spec!r} must be strictly increasing")
+    return tuple(values)
 
 
 def _distinct(values, spec: str):
@@ -151,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help=f"master RNG seed (default {DEFAULT_SEED})")
     run.add_argument("--threads", type=positive_int, default=1,
-                     help="worker processes for the draw stage, one pool per command "
-                          "(default 1)")
+                     help="worker processes for the draw stage, one pool per draw call; "
+                          "figure3 draws once per beam count (default 1)")
     out = _Parser(add_help=False)
     out.add_argument("--out", help="output CSV path (default: stdout)")
 

@@ -34,17 +34,14 @@ class ExperimentConfig:
     bounds: bool = True
 
     def __post_init__(self):
+        # check_cell checks the scheme list, with every cell, before any draw
         if not self.n_tx_list:
             raise ValueError("n_tx_list must be non-empty")
+        if len(set(self.n_tx_list)) < len(self.n_tx_list):
+            raise ValueError(f"n_tx_list {self.n_tx_list!r} repeats an entry")
         grid = list(self.snr_db_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_db_grid must be non-empty and strictly increasing")
-        if not self.schemes:
-            raise ValueError("at least one scheme is required")
-        for name in ("n_tx_list", "schemes"):
-            values = getattr(self, name)
-            if len(set(values)) < len(values):
-                raise ValueError(f"{name} {values!r} repeats an entry")
 
 
 @dataclass(frozen=True)
@@ -81,20 +78,18 @@ def write_csv(rows, path) -> None:
         fh.write(rows_to_csv(rows))
 
 
-def bound_rows(n_tx: int, n_beams: int, spacing: float, snr_db_grid,
-               include_saturation: bool = True, include_hbs: bool = True):
-    """Closed-form bound rows for one (n_tx, n_beams) cell.
-
-    The analog saturation level is SNR-independent and emitted once; the
-    hybrid approximation is evaluated per SNR point.
-    """
+def bound_rows(n_tx: int, n_beams: int, spacing: float, snr_db_grid, schemes=tuple(Scheme)):
+    """Closed-form bound rows of one (n_tx, n_beams) cell simulating ``schemes``
+    (default: all): ABS's SNR-independent saturation level once, with two or
+    more beams, and the hybrid approximation of HBS and NoInterference at each
+    SNR point."""
     rows = []
-    if include_saturation and n_beams >= 2:
+    if Scheme.ABS in schemes and n_beams >= 2:
         rows.append(ResultRow(snr_db=None, n_tx=n_tx, n_beams=n_beams,
                               label=ABS_SATURATION_LABEL,
                               se_mean=abs_saturation_bound(n_tx, spacing, n_beams),
                               se_stderr=None, n_resampled=None))
-    if include_hbs:
+    if Scheme.HBS in schemes or Scheme.NO_INTERFERENCE in schemes:
         for snr_db in snr_db_grid:
             rows.append(ResultRow(snr_db=snr_db, n_tx=n_tx, n_beams=n_beams,
                                   label=HBS_APPROX_LABEL,
@@ -139,10 +134,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1):
                                       se_mean=est.mean, se_stderr=est.std_error,
                                       n_resampled=est.n_resampled))
         if cfg.bounds:
-            has_abs = Scheme.ABS in cfg.schemes
-            has_hbs = any(s in cfg.schemes for s in (Scheme.HBS, Scheme.NO_INTERFERENCE))
-            rows.extend(bound_rows(n_tx, cfg.n_beams, cfg.spacing, cfg.snr_db_grid,
-                                   include_saturation=has_abs, include_hbs=has_hbs))
+            rows.extend(bound_rows(n_tx, cfg.n_beams, cfg.spacing, cfg.snr_db_grid, cfg.schemes))
     return rows
 
 

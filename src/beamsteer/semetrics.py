@@ -8,18 +8,19 @@ both the signal and the interference terms.
 A run has two stages.  The draw stage, ``draw_blocks``, gives the
 first-attempt (aods, gains) of every trial as one read-only block per user
 count K, drawn chunk by chunk; with workers it maps every chunk of every
-block over one process pool, so a command starts at most one.  A trial's
-draws depend only on (seed, trial, K), never on n_tx or the scheme: trial t
-owns a fixed stretch of counters of the Philox stream keyed by the seed (the
-layout is in ``channel``), so a chunk of trials [s, s + count) is one
+block of the call over one process pool.  A trial's draws depend only on
+(seed, trial, K), never on n_tx or the scheme: trial t owns a fixed
+stretch of counters of the Philox stream keyed by the seed (the layout is
+in ``channel``), so a chunk of trials [s, s + count) is one
 ``sample_path_params(child_rng(seed, K, s), K, count)`` call, which any
 worker can make in any order.  One block serves every cell of its K:
-``experiment`` draws the blocks of a command once and hands each to the
-``run_monte_carlo`` of every array of that K.  The gain stage turns a block
-into each scheme's per-stream signal |h_k f_k|^2 and interference
-sum_{i != k} |h_k f_i|^2 on one array, two (trials, K) arrays, chunk by
-chunk in the calling process, and reduces them at every SNR point; a chunk's
-Gram kernel is computed once for all the schemes that read it.
+``experiment`` draws the blocks of a sweep once (figure3, once per beam
+count) and hands each to the ``run_monte_carlo`` of every array of that K.
+The gain stage turns a block into each scheme's per-stream signal
+|h_k f_k|^2 and interference sum_{i != k} |h_k f_i|^2 on one array, two
+(trials, K) arrays, chunk by chunk in the calling process, and reduces them
+at every SNR point; a chunk's Gram kernel is computed once for all the
+schemes that read it.
 
 The gain stage is rho-free and works on K x K arrays alone.  In the pure-LoS
 model a trial's equivalent channel is H_hat = sqrt(N) diag(g) G, with G =
@@ -112,7 +113,6 @@ class SnrPoint:
 class MonteCarloEstimate:
     mean: float
     std_error: float
-    n_trials: int
     n_resampled: int
     n_fallback: int  # trials computed by the extended-precision chain
 
@@ -328,10 +328,10 @@ def run_monte_carlo(config: ArrayConfig, n_users: int, schemes, snrs, trials: in
 
     per_scheme = zip(*(_gain_chunk(aods[s:s + _CHUNK], gains[s:s + _CHUNK], config, schemes,
                                    seed, s) for s in range(0, trials, _CHUNK)))
-    return tuple(_estimates(parts, snrs, trials) for parts in per_scheme)
+    return tuple(_estimates(parts, snrs) for parts in per_scheme)
 
 
-def _estimates(parts, snrs, trials):
+def _estimates(parts, snrs):
     """One scheme's estimate at each SNR point, from its gain stage result
     (signal, interference, n_resampled, n_fallback) of each chunk."""
     signals, interferences, resampled, fallback = zip(*parts)
@@ -357,7 +357,6 @@ def _estimates(parts, snrs, trials):
         estimates.append(MonteCarloEstimate(
             mean=float(mean),
             std_error=float(std / np.sqrt(n)),
-            n_trials=trials,
             n_resampled=n_resampled,
             n_fallback=n_fallback,
         ))

@@ -25,6 +25,10 @@ def test_parse_snr_spec_forms():
     assert parse_snr_spec("-10,0,10") == (-10.0, 0.0, 10.0)
     assert parse_snr_spec("-10:5:30") == tuple(float(x) for x in range(-10, 31, 5))
     assert parse_snr_spec("30:5:30") == (30.0,)
+    # point i of a range is round(start + i*step, 10)
+    assert parse_snr_spec("0:0.1:0.5") == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+    assert parse_snr_spec("-10:2.5:0") == (-10.0, -7.5, -5.0, -2.5, 0.0)
+    assert parse_snr_spec("0.3:0.7:5") == (0.3, 1.0, 1.7, 2.4, 3.1, 3.8, 4.5)
     with pytest.raises(UsageError):
         parse_snr_spec("10:0:20")
     with pytest.raises(UsageError):
@@ -46,8 +50,7 @@ def test_config_validation(tmp_path, monkeypatch):
     # a repeated entry wrote the same rows again: n_tx_list=(8, 8) with two
     # ABS schemes wrote each ABS row four times and the saturation row twice
     for kwargs in ({"n_tx_list": (8, 8), "schemes": (Scheme.ABS, Scheme.ABS)},
-                   {"n_tx_list": (8, 16, 8)},
-                   {"schemes": (Scheme.HBS, Scheme.ABS, Scheme.HBS)}):
+                   {"n_tx_list": (8, 16, 8)}):
         with pytest.raises(ValueError, match="repeats an entry"):
             ExperimentConfig(**{"n_tx_list": (8,), "n_beams": 2, **kwargs})
 
@@ -57,7 +60,9 @@ def test_config_validation(tmp_path, monkeypatch):
         raise AssertionError("drew before the cell checks")
 
     monkeypatch.setattr(experiment, "draw_blocks", no_draw)
-    for kwargs, match in (({"trials": 0}, "trials"), ({"n_beams": 0}, "beams")):
+    for kwargs, match in (({"trials": 0}, "trials"), ({"n_beams": 0}, "beams"),
+                          ({"schemes": ()}, "at least one scheme"),
+                          ({"schemes": (Scheme.HBS, Scheme.ABS, Scheme.HBS)}, "repeats an entry")):
         cfg = ExperimentConfig(**{"n_tx_list": (16,), "n_beams": 2, **kwargs})
         with pytest.raises(ValueError, match=match):
             run_sweep(cfg)
@@ -318,9 +323,10 @@ def test_pool_size_capped(monkeypatch, capsys, cpus, cap):
     # ProcessPoolExecutor forks all max_workers processes when it starts, so
     # --threads 100000 must ask for no more than one per chunk and per CPU:
     # a 2-chunk sweep's cap is `cap`.  validate draws its K = 2, 3, 5 blocks,
-    # six chunks, over one pool.  Where that cap is 1 no pool is requested:
-    # one worker would only add its start-up to the in-process draw.  The
-    # fake pool records the request and starts none.
+    # six chunks, over one pool; figure3 draws once per beam count, so it
+    # asks three times for a 2-chunk block's cap.  Where that cap is 1 no
+    # pool is requested: one worker would only add its start-up to the
+    # in-process draw.  The fake pool records each request and starts none.
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -335,8 +341,9 @@ def test_pool_size_capped(monkeypatch, capsys, cpus, cap):
         map = staticmethod(map)
 
     trials = ["--trials", str(2 * semetrics._CHUNK)]
-    for args, pool in ((["sweep", "--ntx", "8", "--no-bounds"], cap),
-                       (["validate"], min(6, cpus or 1))):
+    for args, pool, starts in ((["sweep", "--ntx", "8", "--no-bounds"], cap, 1),
+                               (["validate"], min(6, cpus or 1), 1),
+                               (["figure3"], cap, 3)):
         requested = []
         with monkeypatch.context() as patch:
             code = main(args + trials)
@@ -344,7 +351,7 @@ def test_pool_size_capped(monkeypatch, capsys, cpus, cap):
             patch.setattr(semetrics, "ProcessPoolExecutor", RecordingPool)
             patch.setattr(os, "cpu_count", lambda: cpus)
             assert main(args + trials + ["--threads", "100000"]) == code
-        assert requested == ([pool] if pool > 1 else [])
+        assert requested == ([pool] * starts if pool > 1 else [])
         assert capsys.readouterr().out == single
 
 
@@ -361,17 +368,26 @@ def test_non_finite_snr_range_exit_one(capsys):
 
 def test_snr_range_point_cap(capsys):
     assert len(parse_snr_spec(f"0:1:{SNR_GRID_MAX - 1}")) == SNR_GRID_MAX
-    for spec in (f"0:1:{SNR_GRID_MAX}", "0:1e-9:30", "-1e308:1:1e308", "1e20:1:1e20"):
+    for spec in (f"0:1:{SNR_GRID_MAX}", "0:1e-9:30", "-1e308:1:1e308"):
         with pytest.raises(UsageError, match=f"more than {SNR_GRID_MAX} points"):
             parse_snr_spec(spec)
     # 3e10 points: counted and rejected before any grid is built
     assert main(["bounds", "--snr-db", "0:1e-9:30"]) == 1
     assert str(SNR_GRID_MAX) in capsys.readouterr().err
+    # a range of one point, whose step no float at 1e20 can hold: its SNR
+    # is rejected where it is used
+    assert parse_snr_spec("1e20:1:1e20") == (1e20,)
+    assert main(["bounds", "--snr-db", "1e20:1:1e20"]) == 1
+    assert "1e+20 dB overflows" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("spec", ["30,10,10", "10,10", "0,20,10"])
+@pytest.mark.parametrize("spec", ["30,10,10", "10,10", "0,20,10", "0:1e-11:1e-10",
+                                  "1e17:1:100000000000000096"])
 def test_snr_list_not_increasing_exit_one(tmp_path, capsys, spec):
-    # bounds wrote a repeated or out-of-order SNR list's rows and exited 0
+    # bounds wrote a repeated or out-of-order SNR list's rows and exited 0; a
+    # range whose step is below the grid's 1e-10 rounding collapsed into
+    # repeated points the same way, and a step below the float spacing of the
+    # range's values stalled the repeated sum
     out = tmp_path / "b.csv"
     for argv in (["bounds", "--ntx", "16"],
                  ["sweep", "--ntx", "8", "--trials", "10"]):

@@ -557,7 +557,6 @@ def test_stderr_shrinks_with_trials():
 def test_estimate_fields():
     ((est,),) = run_monte_carlo(ArrayConfig(4), 2, [Scheme.ABS], [10.0], 300, 1)
     assert isinstance(est, MonteCarloEstimate)
-    assert est.n_trials == 300
     assert est.n_resampled == 0
     assert est.std_error > 0
     # the in-place reduction makes the float operations of numpy's mean and std
