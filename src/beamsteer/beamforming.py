@@ -39,16 +39,6 @@ class DegeneratePrecoder(Exception):
     """A precoder column maps to the zero vector and cannot be normalized."""
 
 
-def _product(left, right, left_name: str, right_name: str) -> np.ndarray:
-    """Matrix product left @ right formed in extended precision."""
-    left = np.asarray(left)
-    right = np.asarray(right)
-    if left.ndim != 2 or right.ndim != 2 or left.shape[1] != right.shape[0]:
-        raise ValueError(f"dimension mismatch: {left_name} is {left.shape}, "
-                         f"{right_name} is {right.shape}")
-    return left.astype(_EXT) @ right.astype(_EXT)
-
-
 def _invert(matrix: np.ndarray) -> np.ndarray:
     """Invert the K x K matrix by Gaussian elimination with partial pivoting.
 
@@ -60,7 +50,7 @@ def _invert(matrix: np.ndarray) -> np.ndarray:
     in ``np.clongdouble``, unrounded: the caller decides where the single
     rounding to complex128 happens.  Elimination alone cannot restore digits
     lost before it, so the input should itself be an extended-precision
-    product (see ``_product``).
+    product (see ``hbs_beamformer_set``).
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -84,25 +74,30 @@ def _invert(matrix: np.ndarray) -> np.ndarray:
 
 def _normalize(w: np.ndarray, rf: np.ndarray) -> np.ndarray:
     """Extended-precision W with each column scaled so F_RF w_k has unit norm."""
-    composite = _product(rf, w, "F_RF", "W")
+    w = np.asarray(w, _EXT)
+    composite = np.asarray(rf, _EXT) @ w
     norms = np.sqrt((composite.real ** 2 + composite.imag ** 2).sum(axis=0))
     if np.any(norms == 0.0):
         raise DegeneratePrecoder("composite column is the zero vector")
-    return np.asarray(w).astype(_EXT) / norms
+    return w / norms
 
 
 def hbs_beamformer_set(h_matrix: np.ndarray, angles, config: ArrayConfig) -> np.ndarray:
     """Full hybrid chain: steering, equivalent channel, ZF, vector normalization.
 
-    ``angles`` holds the K users' angles, one per row of ``h_matrix``; a
-    scalar or an empty sequence fails the dimension checks with ValueError.
-    Returns the n_tx x K composite F = F_RF W (complex128), one unit-norm
-    column per stream.  H_hat = H F_RF, its inverse, the column normalization
-    and F_RF W all stay in ``np.clongdouble``; the composite is rounded to
-    complex128 once, at the end.  Rounding any intermediate instead costs
-    about eps64 * cond(H_hat) of interference suppression (1.7e-8 leakage at
-    cond 2e8).
+    ``angles`` is a non-empty 1-D sequence of the K users' angles and
+    ``h_matrix`` their (K, n_tx) channel rows; any other shape raises
+    ValueError.  Returns the n_tx x K composite F = F_RF W (complex128), one
+    unit-norm column per stream.  H_hat = H F_RF, its inverse, the column
+    normalization and F_RF W all stay in ``np.clongdouble``; the composite is
+    rounded to complex128 once, at the end.  Rounding any intermediate
+    instead costs about eps64 * cond(H_hat) of interference suppression
+    (1.7e-8 leakage at cond 2e8).
     """
-    rf = steering_vector(np.asarray(angles, float), config)  # (n_tx, K)
-    w = _invert(_product(h_matrix, rf, "H", "F_RF"))
-    return _product(rf, _normalize(w, rf), "F_RF", "W").astype(complex)
+    angles, h_matrix = np.asarray(angles, float), np.asarray(h_matrix)
+    if angles.ndim != 1 or not angles.size or h_matrix.shape != (angles.size, config.n_tx):
+        raise ValueError(f"need 1-D angles of K >= 1 users and H of shape (K, n_tx), got "
+                         f"angles {angles.shape} and H {h_matrix.shape} at n_tx = {config.n_tx}")
+    rf = steering_vector(angles, config).astype(_EXT)  # (n_tx, K)
+    w = _normalize(_invert(h_matrix.astype(_EXT) @ rf), rf)
+    return (rf @ w).astype(complex)

@@ -36,12 +36,12 @@ signal N |g_k|^2 / (R^-1)_kk and no interference, from one real float64
 inverse per chunk, ``_gram_inverse``.  The kernel runs trials last: a
 chunk's R is one (K, K, T) array, so every elementwise step of R, of its
 inverse and of the sums over them covers a contiguous run of T trials; the
-schemes still give (T, K) gains.  A trial that inverse cannot be
-trusted for (a condition bound eps64 ||R||_F ||R^-1||_F above 5e-10, or a
-non-positive or non-finite diagonal entry, which the zero pivot of an
-exactly singular R gives) is recomputed from its own n_tx-long channel rows
-through the extended-precision chain ``hbs_beamformer_set``, and a draw
-that chain finds singular is redrawn from the trial's next resample
+schemes still give (T, K) gains.  One test flags a trial that inverse cannot
+be trusted for: a condition bound eps64 ||R||_F ||R^-1||_F above 5e-10, or
+NaN, as the zero pivot of an exactly singular R gives.  Its signal comes from
+its own n_tx-long channel rows through the extended-precision chain
+``hbs_beamformer_set``; its interference stays zero, as on every HBS trial.
+A draw that chain finds singular is redrawn from the trial's next resample
 stream: the same counters under the key word of attempt 1, 2, ...
 The redraw stays local to the cell: the shared block is never written.
 ``MonteCarloEstimate.n_fallback`` counts those trials.  SNR enters only in
@@ -73,9 +73,9 @@ from .channel import child_rng, sample_path_params
 
 _CHUNK = 2048
 # Bound on eps64 * cond(G), the scale of the float64 Gram inverse's forward
-# error, above which a trial is recomputed through the extended-precision
-# chain (which applies the pivot threshold contract).  At 1e-9, two trials
-# of 32x5 at seed 2026 (cond 3.2e6 and 3.9e6) are off by 1.9e-9 in SE.
+# error, above which a trial goes through the extended-precision chain.  At
+# seed 2026 (32x5 and 128x5, 50000 trials) the first float64 SE at rho = 1000
+# off a long-double reference by over 1e-9 has a bound of 1.2e-9 (1.8e-9 off).
 _FORWARD_TOL = 5e-10
 _EPS64 = np.finfo(np.float64).eps
 # Draws tried per trial (the first plus resamples) before giving up.
@@ -136,9 +136,9 @@ def se_from_gains(signal, interference, rho_lin: float, out=None) -> np.ndarray:
 
 
 def _off_diagonal_sums(m):
-    """Sums over i != k of each row k of m (K, K, ...), overwriting m's diagonal;
-    the row sum minus m_kk would cancel the digits of a leakage far below it.
-    On the trials-last (K, K, T) kernel each term is a contiguous row of T."""
+    """ABS interference: each row's sum over i != k of the kernel's (K, K, T)
+    R^2, each term a contiguous row of T, overwriting its unit diagonal; the
+    row sum minus 1 would cancel the digits of a leakage far below it."""
     n = len(m)
     m[range(n), range(n)] = 0.0
     return m.sum(axis=1)
@@ -247,15 +247,13 @@ def _hbs_chunk(aods, gains, config, gram, power, seed, start):
     inv = _gram_inverse(gram)
     # ZF with vector normalization leaves stream k the signal
     # N |g_k|^2 / (R^-1)_kk and no leakage: G w_i = e_i / (sqrt(N) g_i).
-    # ||R||_F ||R^-1||_F >= cond_2(R), and eps64 * cond_2 is the scale
-    # of the float64 inverse's forward error.  A non-finite inverse fails it.
-    inv_diag = np.diagonal(inv)
+    # ||R||_F ||R^-1||_F >= cond_2(R), and eps64 * cond_2 is the scale of the
+    # float64 inverse's forward error.  As (R^-1)_kk >= 1, a non-positive or
+    # non-finite diagonal entry comes only with a bound far above it, or NaN.
     cond = np.sqrt((gram ** 2).sum(axis=(0, 1))) * np.sqrt((inv ** 2).sum(axis=(0, 1)))
-    good = (_EPS64 * cond <= _FORWARD_TOL) & (inv_diag > 0.0).all(axis=1)
+    flagged = np.nonzero(~(_EPS64 * cond <= _FORWARD_TOL))[0]
     with np.errstate(invalid="ignore", divide="ignore"):
-        signal = power / inv_diag
-    interference = np.zeros_like(signal)
-    flagged = np.nonzero(~good)[0]
+        signal = power / np.diagonal(inv)
 
     n_resampled = 0
     for i in flagged:
@@ -271,13 +269,14 @@ def _hbs_chunk(aods, gains, config, gram, power, seed, start):
             except (SingularEquivalentChannel, DegeneratePrecoder):
                 n_resampled += 1
                 continue
-            g2 = np.abs(h @ f) ** 2
-            signal[i] = np.diagonal(g2)
-            interference[i] = _off_diagonal_sums(g2)
+            # the chain's signal alone: its leakage is rounding, and HBS has none
+            signal[i] = np.diagonal(np.abs(h @ f) ** 2)
             break
         else:
-            raise RuntimeError("resample limit exceeded; check channel statistics")
-    return signal, interference, n_resampled, len(flagged)
+            raise ValueError(f"HBS cannot separate K = {n_users} users on n_tx = {config.n_tx} at "
+                             f"spacing {config.spacing:g}: trial {start + i} is singular at "
+                             f"all {_MAX_ATTEMPTS} draws")
+    return signal, np.zeros_like(signal), n_resampled, len(flagged)
 
 
 def check_cell(config: ArrayConfig, n_users: int, schemes, snrs, trials: int):

@@ -3,10 +3,15 @@ import pytest
 
 from beamsteer.arrays import ArrayConfig, steering_vector
 from beamsteer.beamforming import (DegeneratePrecoder, SingularEquivalentChannel, _invert,
-                                   _normalize, _product, hbs_beamformer_set)
+                                   _normalize, hbs_beamformer_set)
 from beamsteer.channel import child_rng, sample_path_params
 
 from los_reference import PathParams, los_channel
+
+
+def ext_product(left, right):
+    """left @ right formed in extended precision, as the hybrid chain forms it."""
+    return np.asarray(left, np.clongdouble) @ np.asarray(right, np.clongdouble)
 
 
 def random_los_setup(rng, n_tx, n_users, spacing=0.5):
@@ -36,19 +41,22 @@ def test_rf_matrix_columns():
 
 
 def test_rf_matrix_empty_rejected():
-    # an empty or scalar angle set gives no K x K equivalent channel
+    # an empty, scalar or 2-D angle set gives no K x K equivalent channel, nor
+    # do channel rows that are not one per angle or not n_tx long
     cfg = ArrayConfig(4)
     h = los_channel(PathParams(1.0, 0.3), cfg)[None, :]
-    for angles in ([], 0.3):
+    cases = [(h, []), (h, 0.3), (h, [[0.3]]),
+             (np.vstack([h, h]), [0.3]), (h[:, :3], [0.3]), (np.ones((1, 5)), [0.3])]
+    for h_matrix, angles in cases:
         with pytest.raises(ValueError):
-            hbs_beamformer_set(h, angles, cfg)
+            hbs_beamformer_set(h_matrix, angles, cfg)
 
 
 def test_equivalent_channel_matched_single_user():
     cfg = ArrayConfig(16, 0.5)
     alpha = 0.7 - 0.3j
     h = los_channel(PathParams(alpha, 1.4), cfg)[None, :]
-    h_hat = _product(h, steering_vector(np.array([1.4]), cfg), "H", "F_RF").astype(complex)
+    h_hat = ext_product(h, steering_vector(np.array([1.4]), cfg)).astype(complex)
     assert h_hat[0, 0] == pytest.approx(np.sqrt(16) * alpha, abs=1e-12)
 
 
@@ -56,15 +64,16 @@ def test_equivalent_channel_matches_dense_product():
     rng = np.random.default_rng(11)
     cfg, angles, _, h = random_los_setup(rng, 16, 3)
     rf = steering_vector(angles, cfg)
-    h_hat = _product(h, rf, "H", "F_RF").astype(complex)
+    h_hat = ext_product(h, rf).astype(complex)
     expected = np.array([[sum(h[k, m] * rf[m, i] for m in range(16))
                           for i in range(3)] for k in range(3)])
     assert np.allclose(h_hat, expected, atol=1e-12)
 
 
 def test_equivalent_channel_dimension_mismatch():
+    # H F_RF needs H's rows to be n_tx long: 4 against an array of 5
     with pytest.raises(ValueError):
-        _product(np.ones((2, 4)), np.ones((5, 2)), "H", "F_RF")
+        hbs_beamformer_set(np.ones((2, 4)), [0.1, 0.2], ArrayConfig(5))
 
 
 def test_zf_scalar():
@@ -97,7 +106,7 @@ def test_zf_singular_on_coincident_angles():
     _, _, gains, _ = random_los_setup(rng, 8, 2)
     angles = np.array([0.3, 0.3])
     h = np.stack([los_channel(PathParams(g, a), cfg) for g, a in zip(gains, angles)])
-    h_hat = _product(h, steering_vector(angles, cfg), "H", "F_RF").astype(complex)
+    h_hat = ext_product(h, steering_vector(angles, cfg)).astype(complex)
     with pytest.raises(SingularEquivalentChannel):
         _invert(h_hat)
 
@@ -111,7 +120,7 @@ def test_vector_normalize_unit_composite_columns():
     rng = np.random.default_rng(15)
     cfg, angles, _, h = random_los_setup(rng, 32, 3)
     rf = steering_vector(angles, cfg)
-    h_hat = _product(h, rf, "H", "F_RF").astype(complex)
+    h_hat = ext_product(h, rf).astype(complex)
     w = _normalize(_invert(h_hat).astype(complex), rf).astype(complex)
     assert np.allclose(np.linalg.norm(rf @ w, axis=0), 1.0, atol=1e-10)
 
@@ -175,7 +184,7 @@ def test_hbs_invariant_to_equivalent_channel_scaling():
     rng = np.random.default_rng(18)
     cfg, angles, _, h = random_los_setup(rng, 16, 3)
     rf = steering_vector(angles, cfg)
-    h_hat = _product(h, rf, "H", "F_RF").astype(complex)
+    h_hat = ext_product(h, rf).astype(complex)
     w1 = _normalize(_invert(h_hat).astype(complex), rf).astype(complex)
     w2 = _normalize(_invert(3.0 * h_hat).astype(complex), rf).astype(complex)
     assert np.allclose(w1, w2, atol=1e-10)

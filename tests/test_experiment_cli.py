@@ -300,6 +300,19 @@ def test_hbs_more_beams_than_antennas_exit_one(capsys):
     assert "3 users on 2 antennas" in err
 
 
+@pytest.mark.parametrize("nbeams, spacing", [("2", "1e-12"), ("3", "1e-5")])
+def test_unresolvable_users_exit_one(capsys, nbeams, spacing):
+    # users this close are singular at every draw: the resample limit is an
+    # input error that names the cell and the trial, not a traceback
+    assert main(["sweep", "--ntx", "8", "--nbeams", nbeams, "--spacing", spacing,
+                 "--schemes", "HBS", "--trials", "20", "--snr-db", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for part in (f"K = {nbeams} users", "n_tx = 8", f"spacing {float(spacing):g}", "trial 0",
+                 "1000 draws"):
+        assert part in err
+
+
 def test_non_positive_trials_exit_one(monkeypatch, capsys):
     # --trials 0 must not fall back to the 50000-trial default
     calls = []

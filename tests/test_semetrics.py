@@ -424,6 +424,28 @@ def test_fallback_count_at_seed_2026(n_tx, n_fallback):
     assert (est.n_fallback, est.n_resampled) == (n_fallback, 0)
 
 
+def test_flagged_hbs_trial_reports_zero_interference():
+    # HBS has one model on both paths: a trial the condition bound sends to
+    # the extended-precision chain takes the chain's signal |h_k f_k|^2 alone,
+    # and its interference is the zero every other HBS trial gets, not the
+    # chain's float64 rounding leakage.  32x5 at seed 2026 flags 27 of 4096.
+    cfg = ArrayConfig(32, 0.5)
+    aods, gains = one_block(2026, 5, 4096)
+    ((signal, interference, resampled, flagged),) = _gain_chunk(aods, gains, cfg,
+                                                                [Scheme.HBS], 2026, 0)
+    assert (flagged, resampled) == (27, 0)
+    assert interference.shape == (4096, 5) and not interference.any()
+    gram = _gram(aods, cfg)
+    inv = _gram_inverse(gram)
+    cond = np.sqrt((gram ** 2).sum(axis=(0, 1)) * (inv ** 2).sum(axis=(0, 1)))
+    rows = np.nonzero(np.finfo(float).eps * cond > semetrics._FORWARD_TOL)[0]
+    assert len(rows) == 27
+    for t in rows:
+        h = semetrics._los(aods[t], gains[t], cfg)
+        chain = np.diagonal(np.abs(h @ hbs_beamformer_set(h, aods[t], cfg)) ** 2)
+        assert signal[t].tobytes() == chain.tobytes()
+
+
 def test_chunk_size_invariance(monkeypatch):
     cfg = ArrayConfig(32, 0.5)
     default = run_monte_carlo(cfg, 5, [Scheme.HBS], [316.0], 2048, 2026)
