@@ -17,10 +17,11 @@ worker can make in any order.  One block serves every cell of its K:
 ``experiment`` draws the blocks of a sweep once (figure3, once per beam
 count) and hands each to the ``run_monte_carlo`` of every array of that K.
 The gain stage turns a block into each scheme's per-stream signal
-|h_k f_k|^2 and interference sum_{i != k} |h_k f_i|^2 on one array, two
-(trials, K) arrays, chunk by chunk in the calling process, and reduces them
-at every SNR point; a chunk's Gram kernel is computed once for all the
-schemes that read it.
+|h_k f_k|^2 and interference sum_{i != k} |h_k f_i|^2 on one array, chunk
+by chunk in the calling process: a (count, K) signal per chunk, and a
+(count, K) interference for ABS alone; HBS and NoInterference carry the
+scalar 0.0.  A chunk's Gram kernel is computed once for all the schemes that
+read it.
 
 The gain stage is rho-free and works on K x K arrays alone.  In the pure-LoS
 model a trial's equivalent channel is H_hat = sqrt(N) diag(g) G, with G =
@@ -46,8 +47,9 @@ stream: the same counters under the key word of attempt 1, 2, ...
 The redraw stays local to the cell: the shared block is never written.
 ``MonteCarloEstimate.n_fallback`` counts those trials.  SNR enters only in
 the SE reduction ``se_from_gains``, so one simulation serves a whole SNR
-grid; a scheme's points are reduced in place, in two (T, K) arrays made
-once.  An SNR point is an ``SnrPoint``, one linear value that its
+grid; at each point a scheme's chunks are reduced in place, straight into
+two (trials, K) arrays made once, with no concatenated copy of the gains.
+An SNR point is an ``SnrPoint``, one linear value that its
 constructor checks to be finite and positive; ``check_cell`` checks every
 other input of a cell before anything is drawn.
 
@@ -63,6 +65,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
 
 import numpy as np
@@ -149,6 +152,15 @@ def _los(aods, gains, config):
     return np.sqrt(config.n_tx) * gains[:, None] * steering_vector(aods, config).conj().T
 
 
+@cache
+def _lags(n_users):
+    """The K(K-1)/2 lag index pairs (k, i), i > k, of ``_gram``, built once per
+    K and read-only, as every call shares them."""
+    k, i = np.triu_indices(n_users, 1)
+    k.flags.writeable = i.flags.writeable = False
+    return k, i
+
+
 def _gram(aods, config):
     """Real Gram matrices R of the unit-norm steering columns, trials last:
     (K, K, T) from (T, K) angles, (K, K) from one trial's (K,).
@@ -163,7 +175,7 @@ def _gram(aods, config):
     n_tx = config.n_tx
     zeta = phase_progression(aods.T, config)
     n_users = len(zeta)
-    k, i = np.triu_indices(n_users, 1)
+    k, i = _lags(n_users)
     delta = zeta[i] - zeta[k]
     den = n_tx * np.sin(delta / 2.0)
     coincident = den == 0.0
@@ -176,19 +188,33 @@ def _gram(aods, config):
 def _gram_inverse(r):
     """Inverses of trials-last (K, K, T) Gram kernels R, by in-place Gauss-Jordan
     elimination vectorised over the trials: every step works on contiguous
-    rows of T.  R is symmetric positive definite with unit diagonal, so it
-    needs no pivoting; an exactly singular R meets a zero pivot, which leaves
-    that trial's inverse, and no other, non-finite."""
+    rows of T, and each other row takes its multiple of the pivot row in
+    place, through one (K, T) buffer.  R is symmetric positive definite with
+    unit diagonal, so it needs no pivoting; an exactly singular R meets a zero
+    pivot, which leaves that trial's inverse, and no other, non-finite."""
     inv = r.copy()
+    step = np.empty(r.shape[1:])
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(len(r)):
             col = inv[:, k].copy()
             inv[:, k] = 0.0
             inv[k, k] = 1.0
             inv[k] /= col[k]
-            col[k] = 0.0
-            inv -= col[:, None] * inv[k]
+            for j in range(len(r)):
+                if j != k:
+                    inv[j] -= np.multiply(col[j], inv[k], out=step)
     return inv
+
+
+def _frobenius(m):
+    """||M||_F of each trial of a trials-last (K, K, T) array: the squares summed
+    in row-major order of (k, i), as ``(m ** 2).sum(axis=(0, 1))`` sums them,
+    through one (T,) buffer instead of a squared copy of m."""
+    rows = m.reshape(-1, m.shape[-1])
+    total, square = rows[0] * rows[0], np.empty(m.shape[-1])
+    for row in rows[1:]:
+        total += np.multiply(row, row, out=square)
+    return np.sqrt(total)
 
 
 def _draw_chunk(seed, n_users, start, count):
@@ -225,7 +251,8 @@ def draw_blocks(seed: int, user_counts, trials: int, workers: int = 1):
 
 def _gain_chunk(aods, gains, config, schemes, seed, start):
     """Gain stage on trials [start, start + len(aods)) of ``seed``, drawn as
-    (aods, gains): per scheme, their (count, K) signal and interference, the
+    (aods, gains): per scheme, their (count, K) signal, their interference,
+    (count, K) for ABS and the scalar 0.0 for HBS and NoInterference, the
     number of resampled draws and the number of extended-precision trials.
     The Gram kernel R is computed once for the schemes that read it."""
     power = config.n_tx * np.abs(gains) ** 2
@@ -237,7 +264,7 @@ def _gain_chunk(aods, gains, config, schemes, seed, start):
         elif scheme is Scheme.HBS:
             out.append(_hbs_chunk(aods, gains, config, gram, power, seed, start))
         else:
-            out.append((power, np.zeros_like(power), 0, 0))
+            out.append((power, 0.0, 0, 0))
     return out
 
 
@@ -250,7 +277,7 @@ def _hbs_chunk(aods, gains, config, gram, power, seed, start):
     # ||R||_F ||R^-1||_F >= cond_2(R), and eps64 * cond_2 is the scale of the
     # float64 inverse's forward error.  As (R^-1)_kk >= 1, a non-positive or
     # non-finite diagonal entry comes only with a bound far above it, or NaN.
-    cond = np.sqrt((gram ** 2).sum(axis=(0, 1))) * np.sqrt((inv ** 2).sum(axis=(0, 1)))
+    cond = _frobenius(gram) * _frobenius(inv)
     flagged = np.nonzero(~(_EPS64 * cond <= _FORWARD_TOL))[0]
     with np.errstate(invalid="ignore", divide="ignore"):
         signal = power / np.diagonal(inv)
@@ -276,7 +303,7 @@ def _hbs_chunk(aods, gains, config, gram, power, seed, start):
             raise ValueError(f"HBS cannot separate K = {n_users} users on n_tx = {config.n_tx} at "
                              f"spacing {config.spacing:g}: trial {start + i} is singular at "
                              f"all {_MAX_ATTEMPTS} draws")
-    return signal, np.zeros_like(signal), n_resampled, len(flagged)
+    return signal, 0.0, n_resampled, len(flagged)
 
 
 def check_cell(config: ArrayConfig, n_users: int, schemes, snrs, trials: int):
@@ -332,19 +359,24 @@ def run_monte_carlo(config: ArrayConfig, n_users: int, schemes, snrs, trials: in
 
 def _estimates(parts, snrs):
     """One scheme's estimate at each SNR point, from its gain stage result
-    (signal, interference, n_resampled, n_fallback) of each chunk."""
+    (signal, interference, n_resampled, n_fallback) of each chunk, in trial
+    order.  Each point's SE goes chunk by chunk into two (trials, K) buffers
+    made once, so no concatenated copy of the gains is made."""
     signals, interferences, resampled, fallback = zip(*parts)
-    signal, interference = np.concatenate(signals), np.concatenate(interferences)
     n_resampled, n_fallback = sum(resampled), sum(fallback)
-    buffers = np.empty(signal.shape), np.empty(signal.shape)
-    flat, n = buffers[0].ravel(), signal.size
+    cuts = np.cumsum([len(signal) for signal in signals])
+    shape = (cuts[-1], signals[0].shape[1])
+    se, den = np.empty(shape), np.empty(shape)
+    outs = list(zip(np.split(se, cuts[:-1]), np.split(den, cuts[:-1])))
+    flat, n = se.ravel(), se.size
     estimates = []
     for rho in snrs:
         # A finite rho can still overflow rho * N |g|^2, which gives a non-finite
         # SE, or only the rho * interference of a stream, whose SE then reads 0.
         try:
             with np.errstate(over="raise"):
-                se_from_gains(signal, interference, rho.rho_linear, out=buffers)
+                for signal, interference, out in zip(signals, interferences, outs):
+                    se_from_gains(signal, interference, rho.rho_linear, out=out)
         except FloatingPointError:
             raise ValueError(f"SE at SNR {10.0 * np.log10(rho.rho_linear):.6g} dB cannot be "
                              f"computed: rho * n_tx |g|^2 overflows float64") from None

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -379,23 +380,26 @@ def test_singular_trial_flags_only_itself():
     # Trial 5's two users coincide, so its real Gram matrix R is exactly
     # singular: the chunk's batched elimination meets a zero pivot in that
     # trial alone.  Only that trial goes to the extended-precision chain,
-    # which redraws it; every other trial keeps the signal and interference
-    # the batched inverse gives it without trial 5's change.
+    # which redraws it; every other trial keeps the signal the batched
+    # inverse gives it without trial 5's change, and the interference of
+    # every HBS trial is the scalar zero.
     cfg = ArrayConfig(16, 0.5)
     clean = one_block(2026, 2, 64)
-    ((*clean_gains, _, clean_flagged),) = _gain_chunk(*clean, cfg, [Scheme.HBS], 2026, 0)
-    assert clean_flagged == 0
+    ((clean_signal, clean_interference, _, clean_flagged),) = _gain_chunk(*clean, cfg,
+                                                                          [Scheme.HBS], 2026, 0)
+    assert clean_flagged == 0 and clean_interference == 0.0
     aods = clean[0].copy()
     aods[5, 1] = aods[5, 0]
     inv = _gram_inverse(_gram(aods, cfg))
     assert inv.shape == (2, 2, 64)
     assert not np.isfinite(inv[..., 5]).any()
     assert np.isfinite(inv).all(axis=(0, 1)).tolist() == [t != 5 for t in range(64)]
-    ((*gains, resampled, flagged),) = _gain_chunk(aods, clean[1], cfg, [Scheme.HBS], 2026, 0)
+    ((signal, interference, resampled, flagged),) = _gain_chunk(aods, clean[1], cfg,
+                                                                [Scheme.HBS], 2026, 0)
     assert (resampled, flagged) == (1, 1)
+    assert interference == 0.0
     others = np.arange(64) != 5
-    for got, want in zip(gains, clean_gains):
-        assert got[others].tobytes() == want[others].tobytes()
+    assert signal[others].tobytes() == clean_signal[others].tobytes()
 
 
 def test_fallback_count_matches_chain_calls():
@@ -434,7 +438,7 @@ def test_flagged_hbs_trial_reports_zero_interference():
     ((signal, interference, resampled, flagged),) = _gain_chunk(aods, gains, cfg,
                                                                 [Scheme.HBS], 2026, 0)
     assert (flagged, resampled) == (27, 0)
-    assert interference.shape == (4096, 5) and not interference.any()
+    assert np.shape(interference) == () and interference == 0.0
     gram = _gram(aods, cfg)
     inv = _gram_inverse(gram)
     cond = np.sqrt((gram ** 2).sum(axis=(0, 1)) * (inv ** 2).sum(axis=(0, 1)))
@@ -444,6 +448,25 @@ def test_flagged_hbs_trial_reports_zero_interference():
         h = semetrics._los(aods[t], gains[t], cfg)
         chain = np.diagonal(np.abs(h @ hbs_beamformer_set(h, aods[t], cfg)) ** 2)
         assert signal[t].tobytes() == chain.tobytes()
+
+
+def test_run_holds_each_gain_once():
+    # A run's traced memory grows per trial and stream by the draw block (24
+    # bytes), the HBS signal (8) and the two SE buffers (8 each): HBS carries
+    # no zero interference array, and the chunks' gains are reduced without a
+    # concatenated copy.  The peak at one chunk takes out the fixed part.
+    cfg = ArrayConfig(32, 0.5)
+
+    def traced_peak(trials):
+        tracemalloc.start()
+        try:
+            run_monte_carlo(cfg, 5, [Scheme.HBS], [1000.0], trials, 2026)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, many = traced_peak(semetrics._CHUNK), traced_peak(16 * semetrics._CHUNK)
+    assert (many - one) / (15 * semetrics._CHUNK * 5) < 60
 
 
 def test_chunk_size_invariance(monkeypatch):
