@@ -71,7 +71,7 @@ def _philox(stream, steps: int):
     stacked (2, steps), so that one numpy call serves both halves of a round.
     A round's 64 x 64 -> 128-bit products take the low word from numpy's
     wrapping multiply and the high word from 32-bit halves (mulhu, Hacker's
-    Delight 8-2); the sums run in place, as temporaries are most of the time.
+    Delight 8-2); every round runs in the same six (2, steps) buffers.
     """
     key0, key1, counter = stream
     lo32, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
@@ -80,16 +80,19 @@ def _philox(stream, steps: int):
     x = np.zeros((2, steps), dtype=np.uint64)
     x[0] = np.arange(counter + 1, counter + 1 + steps, dtype=np.uint64)
     y = np.zeros_like(x)
+    u, hi, w, lo = (np.empty_like(x) for _ in range(4))
     for r in range(_PHILOX_ROUNDS):
         # u = m_hi x_lo + (m_lo x_lo >> 32) and w = m_lo x_hi + (u & lo32)
         # cannot overflow; hi = m_hi x_hi + (u >> 32) + (w >> 32)
-        u, hi = x & lo32, x >> shift
-        w = m_lo * u
+        np.bitwise_and(x, lo32, out=u)
+        np.right_shift(x, shift, out=hi)
+        np.multiply(m, x, out=lo)
+        np.multiply(m_lo, u, out=w)
         w >>= shift
         u *= m_hi
         u += w
         np.bitwise_and(u, lo32, out=w)
-        w += m_lo * hi
+        w += np.multiply(m_lo, hi, out=x)
         hi *= m_hi
         u >>= shift
         hi += u
@@ -100,10 +103,12 @@ def _philox(stream, steps: int):
         hi ^= y[::-1]
         hi ^= np.array([[(key1 + r * _PHILOX_W[1]) % 2**64],
                         [(key0 + r * _PHILOX_W[0]) % 2**64]], dtype=np.uint64)
-        x, y = hi[::-1], (m * x)[::-1]
-    words = np.stack((x[0], y[0], x[1], y[1]), axis=1)
-    words >>= np.uint64(11)
-    return words * 2.0**-53
+        x, y, hi, lo = hi[::-1], lo[::-1], x, y
+    del u, hi, w, lo
+    out = np.empty((steps, 4))
+    for col, word in enumerate((x[0], y[0], x[1], y[1])):
+        np.multiply(word >> np.uint64(11), 2.0**-53, out=out[:, col])
+    return out
 
 
 def sample_path_params(stream, n_paths: int, count: int | None = None):

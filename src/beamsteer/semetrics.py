@@ -48,7 +48,8 @@ The redraw stays local to the cell: the shared block is never written.
 ``MonteCarloEstimate.n_fallback`` counts those trials.  SNR enters only in
 the SE reduction ``se_from_gains``, so one simulation serves a whole SNR
 grid; at each point a scheme's chunks are reduced in place, straight into
-two (trials, K) arrays made once, with no concatenated copy of the gains.
+one (trials, K) SE array made once, with a chunk-sized scratch array for the
+denominator and no concatenated copy of the gains.
 An SNR point is an ``SnrPoint``, one linear value that its
 constructor checks to be finite and positive; ``check_cell`` checks every
 other input of a cell before anything is drawn.
@@ -66,7 +67,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
-from itertools import repeat
+from itertools import permutations, repeat
 
 import numpy as np
 
@@ -126,25 +127,29 @@ def se_from_gains(signal, interference, rho_lin: float, out=None) -> np.ndarray:
     SINR = rho s / (rho i + 1), through log1p, which keeps the digits of a
     small SINR that 1 + SINR loses.  ``out``, a pair of float arrays of the
     broadcast shape, takes the SE and the denominator, so that a caller that
-    reduces many SNR points makes no new array; by default both are new."""
+    reduces many SNR points makes no new array; by default they are new.  A
+    scalar zero interference needs no denominator: x / 1.0 == x."""
     shape = np.broadcast_shapes(np.shape(signal), np.shape(interference))
-    se, den = out or (np.empty(shape), np.empty(shape))
+    se, den = out or (np.empty(shape), None)
     np.multiply(rho_lin, signal, out=se)
-    np.multiply(rho_lin, interference, out=den)
-    den += 1.0
-    se /= den
+    if np.ndim(interference) or interference:
+        den = np.multiply(rho_lin, interference, out=den)
+        den += 1.0
+        se /= den
     np.log1p(se, out=se)
     se /= np.log(2.0)
     return se
 
 
-def _off_diagonal_sums(m):
+def _off_diagonal_sums(r):
     """ABS interference: each row's sum over i != k of the kernel's (K, K, T)
-    R^2, each term a contiguous row of T, overwriting its unit diagonal; the
-    row sum minus 1 would cancel the digits of a leakage far below it."""
-    n = len(m)
-    m[range(n), range(n)] = 0.0
-    return m.sum(axis=1)
+    R_ki^2, each term a contiguous row of T squared into one (T,) buffer and
+    added in order of i, as ``m.sum(axis=1)`` adds a squared copy m; the row
+    sum minus 1 would cancel the digits of a leakage far below it."""
+    sums, square = np.zeros(r.shape[1:]), np.empty(r.shape[2:])
+    for k, i in permutations(range(len(r)), 2):
+        sums[k] += np.multiply(r[k, i], r[k, i], out=square)
+    return sums
 
 
 def _los(aods, gains, config):
@@ -176,34 +181,41 @@ def _gram(aods, config):
     zeta = phase_progression(aods.T, config)
     n_users = len(zeta)
     k, i = _lags(n_users)
-    delta = zeta[i] - zeta[k]
-    den = n_tx * np.sin(delta / 2.0)
+    den = zeta[i] - zeta[k]  # delta, until it becomes n_tx sin(delta/2)
+    del zeta
+    ratio = np.multiply(n_tx, den)
+    ratio /= 2.0
+    np.sin(ratio, out=ratio)
+    den /= 2.0
+    np.sin(den, out=den)
+    den *= n_tx
     coincident = den == 0.0
-    ratio = np.sin(n_tx * delta / 2.0) / np.where(coincident, 1.0, den)
-    r = np.ones((n_users,) + zeta.shape)
-    r[k, i] = r[i, k] = np.where(coincident, 1.0, ratio)
+    den[coincident] = 1.0
+    ratio /= den
+    ratio[coincident] = 1.0
+    r = np.ones((n_users,) + aods.shape[::-1])
+    r[k, i] = r[i, k] = ratio
     return r
 
 
 def _gram_inverse(r):
-    """Inverses of trials-last (K, K, T) Gram kernels R, by in-place Gauss-Jordan
-    elimination vectorised over the trials: every step works on contiguous
-    rows of T, and each other row takes its multiple of the pivot row in
-    place, through one (K, T) buffer.  R is symmetric positive definite with
+    """Inverts trials-last (K, K, T) Gram kernels R in place and returns r, by
+    Gauss-Jordan elimination vectorised over the trials: every step works on
+    contiguous rows of T, through two (K, T) buffers, the pivot column and each
+    other row's multiple of the pivot row.  R is symmetric positive definite with
     unit diagonal, so it needs no pivoting; an exactly singular R meets a zero
     pivot, which leaves that trial's inverse, and no other, non-finite."""
-    inv = r.copy()
-    step = np.empty(r.shape[1:])
+    col, step = np.empty(r.shape[1:]), np.empty(r.shape[1:])
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(len(r)):
-            col = inv[:, k].copy()
-            inv[:, k] = 0.0
-            inv[k, k] = 1.0
-            inv[k] /= col[k]
+            col[...] = r[:, k]
+            r[:, k] = 0.0
+            r[k, k] = 1.0
+            r[k] /= col[k]
             for j in range(len(r)):
                 if j != k:
-                    inv[j] -= np.multiply(col[j], inv[k], out=step)
-    return inv
+                    r[j] -= np.multiply(col[j], r[k], out=step)
+    return r
 
 
 def _frobenius(m):
@@ -254,30 +266,32 @@ def _gain_chunk(aods, gains, config, schemes, seed, start):
     (aods, gains): per scheme, their (count, K) signal, their interference,
     (count, K) for ABS and the scalar 0.0 for HBS and NoInterference, the
     number of resampled draws and the number of extended-precision trials.
-    The Gram kernel R is computed once for the schemes that read it."""
-    power = config.n_tx * np.abs(gains) ** 2
+    The Gram kernel R is computed once for the schemes that read it; HBS
+    inverts it in place, so it runs after ABS, whatever the order given."""
     gram = _gram(aods, config) if {Scheme.ABS, Scheme.HBS} & set(schemes) else None
-    out = []
-    for scheme in schemes:
+    power = config.n_tx * np.abs(gains) ** 2
+    out = {}
+    for scheme in sorted(schemes, key=lambda s: s is Scheme.HBS):
         if scheme is Scheme.ABS:
-            out.append((power, power * _off_diagonal_sums(gram ** 2).T, 0, 0))
+            out[scheme] = (power, power * _off_diagonal_sums(gram).T, 0, 0)
         elif scheme is Scheme.HBS:
-            out.append(_hbs_chunk(aods, gains, config, gram, power, seed, start))
+            out[scheme] = _hbs_chunk(aods, gains, config, gram, power, seed, start)
         else:
-            out.append((power, 0.0, 0, 0))
-    return out
+            out[scheme] = (power, 0.0, 0, 0)
+    return [out[scheme] for scheme in schemes]
 
 
 def _hbs_chunk(aods, gains, config, gram, power, seed, start):
-    """``_gain_chunk``'s HBS entry, from the chunk's Gram kernels ``gram``."""
+    """``_gain_chunk``'s HBS entry; it inverts the chunk's Gram kernels in place."""
     n_users = aods.shape[1]
+    norm = _frobenius(gram)
     inv = _gram_inverse(gram)
     # ZF with vector normalization leaves stream k the signal
     # N |g_k|^2 / (R^-1)_kk and no leakage: G w_i = e_i / (sqrt(N) g_i).
     # ||R||_F ||R^-1||_F >= cond_2(R), and eps64 * cond_2 is the scale of the
     # float64 inverse's forward error.  As (R^-1)_kk >= 1, a non-positive or
     # non-finite diagonal entry comes only with a bound far above it, or NaN.
-    cond = _frobenius(gram) * _frobenius(inv)
+    cond = norm * _frobenius(inv)
     flagged = np.nonzero(~(_EPS64 * cond <= _FORWARD_TOL))[0]
     with np.errstate(invalid="ignore", divide="ignore"):
         signal = power / np.diagonal(inv)
@@ -360,14 +374,15 @@ def run_monte_carlo(config: ArrayConfig, n_users: int, schemes, snrs, trials: in
 def _estimates(parts, snrs):
     """One scheme's estimate at each SNR point, from its gain stage result
     (signal, interference, n_resampled, n_fallback) of each chunk, in trial
-    order.  Each point's SE goes chunk by chunk into two (trials, K) buffers
-    made once, so no concatenated copy of the gains is made."""
+    order.  Each point's SE goes chunk by chunk into one (trials, K) buffer
+    made once, with one chunk-sized scratch buffer for the denominator, so no
+    concatenated copy of the gains is made."""
     signals, interferences, resampled, fallback = zip(*parts)
     n_resampled, n_fallback = sum(resampled), sum(fallback)
     cuts = np.cumsum([len(signal) for signal in signals])
-    shape = (cuts[-1], signals[0].shape[1])
-    se, den = np.empty(shape), np.empty(shape)
-    outs = list(zip(np.split(se, cuts[:-1]), np.split(den, cuts[:-1])))
+    se = np.empty((cuts[-1], signals[0].shape[1]))
+    den = np.empty((max(len(signal) for signal in signals), se.shape[1]))
+    outs = [(part, den[:len(part)]) for part in np.split(se, cuts[:-1])]
     flat, n = se.ravel(), se.size
     estimates = []
     for rho in snrs:

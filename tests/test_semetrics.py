@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import exp1
 
-from beamsteer import semetrics
+from beamsteer import channel, semetrics
 from beamsteer.arrays import ArrayConfig, phase_progression, steering_vector
 from beamsteer.beamforming import (DegeneratePrecoder, SingularEquivalentChannel,
                                    hbs_beamformer_set)
@@ -366,7 +366,7 @@ def test_gram_inverse_residual_within_condition_bound():
     cfg = ArrayConfig(32, 0.5)
     aods, gains = one_block(2026, 5, 2048)
     gram = _gram(aods, cfg)
-    inv = _gram_inverse(gram)
+    inv = _gram_inverse(gram.copy())
     eps = np.finfo(float).eps
     cond = np.sqrt((gram ** 2).sum(axis=(0, 1)) * (inv ** 2).sum(axis=(0, 1)))
     kept = (eps * cond <= semetrics._FORWARD_TOL) & (np.diagonal(inv) > 0).all(axis=1)
@@ -440,7 +440,7 @@ def test_flagged_hbs_trial_reports_zero_interference():
     assert (flagged, resampled) == (27, 0)
     assert np.shape(interference) == () and interference == 0.0
     gram = _gram(aods, cfg)
-    inv = _gram_inverse(gram)
+    inv = _gram_inverse(gram.copy())
     cond = np.sqrt((gram ** 2).sum(axis=(0, 1)) * (inv ** 2).sum(axis=(0, 1)))
     rows = np.nonzero(np.finfo(float).eps * cond > semetrics._FORWARD_TOL)[0]
     assert len(rows) == 27
@@ -450,23 +450,67 @@ def test_flagged_hbs_trial_reports_zero_interference():
         assert signal[t].tobytes() == chain.tobytes()
 
 
+def traced_peak(call):
+    """Peak memory traced while ``call()`` runs, result included, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_run_holds_each_gain_once():
     # A run's traced memory grows per trial and stream by the draw block (24
-    # bytes), the HBS signal (8) and the two SE buffers (8 each): HBS carries
-    # no zero interference array, and the chunks' gains are reduced without a
+    # bytes), the HBS signal (8) and the SE buffer (8): HBS carries no zero
+    # interference array, and the chunks' gains are reduced without a
     # concatenated copy.  The peak at one chunk takes out the fixed part.
     cfg = ArrayConfig(32, 0.5)
 
-    def traced_peak(trials):
-        tracemalloc.start()
-        try:
-            run_monte_carlo(cfg, 5, [Scheme.HBS], [1000.0], trials, 2026)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def run_peak(trials):
+        return traced_peak(lambda: run_monte_carlo(cfg, 5, [Scheme.HBS], [1000.0], trials, 2026))
 
-    one, many = traced_peak(semetrics._CHUNK), traced_peak(16 * semetrics._CHUNK)
+    one, many = run_peak(semetrics._CHUNK), run_peak(16 * semetrics._CHUNK)
     assert (many - one) / (15 * semetrics._CHUNK * 5) < 60
+
+
+def test_philox_works_in_fixed_buffers():
+    # A round holds six (2, steps) word arrays, 96 bytes per step, and the
+    # (steps, 4) uniforms are filled after the round buffers are released.
+    steps = 8192
+    assert traced_peak(lambda: channel._philox((2026, 0, 0), steps)) / steps < 120
+
+
+def test_gain_chunk_works_in_fixed_buffers():
+    # ABS and HBS on one 128x5 chunk: R (40 bytes per trial and stream) is
+    # built before the power, summed for ABS through one row buffer and then
+    # inverted in place for HBS; no squared or copied R is made.
+    cfg = ArrayConfig(128, 0.5)
+    aods, gains = one_block(2026, 5, semetrics._CHUNK)
+    peak = traced_peak(lambda: _gain_chunk(aods, gains, cfg, [Scheme.ABS, Scheme.HBS], 2026, 0))
+    assert peak / (semetrics._CHUNK * 5) < 100
+
+
+def test_estimates_hold_one_se_buffer():
+    # The reduction's traced peak grows per trial and stream by its one SE
+    # buffer (8 bytes); the denominator's scratch buffer is one chunk long.
+    rng = np.random.default_rng(5)
+    part = (rng.random((semetrics._CHUNK, 5)), rng.random((semetrics._CHUNK, 5)), 0, 0)
+    snrs = [SnrPoint(1.0), SnrPoint(1000.0)]
+    one = traced_peak(lambda: semetrics._estimates([part], snrs))
+    many = traced_peak(lambda: semetrics._estimates([part] * 16, snrs))
+    assert (many - one) / (15 * semetrics._CHUNK * 5) < 12
+
+
+def test_scheme_order_does_not_change_estimates():
+    # HBS overwrites the chunk's R with its inverse, so ABS must read R first
+    # in either order; 32x5 at seed 2026 includes flagged trials.
+    cfg = ArrayConfig(32, 0.5)
+    snrs = [1.0, 316.0]
+    hbs_abs = run_monte_carlo(cfg, 5, [Scheme.HBS, Scheme.ABS], snrs, 8192, 2026)
+    abs_hbs = run_monte_carlo(cfg, 5, [Scheme.ABS, Scheme.HBS], snrs, 8192, 2026)
+    assert hbs_abs[0][0].n_fallback > 0
+    assert hbs_abs == abs_hbs[::-1]
 
 
 def test_chunk_size_invariance(monkeypatch):
