@@ -179,9 +179,8 @@ class ValidationCheck:
 def run_validation(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
                    workers: int = 1):
     """Measure the simulation-vs-bound gaps of the four figure scenarios at
-    rho = 30 dB and compare them against their expected windows."""
-    fig2_windows = {16: (0.15, 0.45), 32: (0.05, 0.35), 128: (0.0, 0.1)}
-    fig3_windows = {3: (0.0, 0.2), 5: (0.05, 0.25)}
+    rho = 30 dB and compare them against their expected windows.  Each
+    (n_tx, n_beams, scheme) gap is to the bound row a sweep of its cell prints."""
     both = (Scheme.ABS, Scheme.HBS)
     # (n_beams, n_tx, schemes, SNRs in dB) of every array; one draw serves
     # them all.  An HBS estimate at 25 dB goes unused.
@@ -191,52 +190,39 @@ def run_validation(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
         [(n_beams, ArrayConfig(n_tx=n_tx, spacing=0.5), schemes,
           [SnrPoint.from_db(x) for x in snr_dbs]) for n_beams, n_tx, schemes, snr_dbs in cells],
         trials, seed, workers)
-    se = {}  # (n_tx, n_beams, scheme) -> mean SE at each of the cell's SNRs
+    gap, flatness = {}, {}  # |SE - bound| at 30 dB; K = 2 ABS's |SE30 - SE25| by n_tx
     for (n_beams, n_tx, schemes, _), cell in zip(cells, estimates):
-        for scheme, scheme_estimates in zip(schemes, cell):
-            se[n_tx, n_beams, scheme] = [est.mean for est in scheme_estimates]
+        for scheme, (at30, *at25) in zip(schemes, cell):
+            (bound,) = bound_rows(n_tx, n_beams, 0.5, (30.0,), (scheme,))
+            gap[n_tx, n_beams, scheme] = abs(at30.mean - bound.se_mean)
+            if at25 and scheme is Scheme.ABS:
+                flatness[n_tx] = abs(at30.mean - at25[0].mean)
+    name = {Scheme.ABS: "ABS gap to saturation", Scheme.HBS: "HBS gap to approx"}
     checks = []
 
     # Figure 1: analog saturation, K = 2.
     for n_tx in (16, 32, 128):
-        bound = abs_saturation_bound(n_tx, 0.5, 2)
-        se30, se25 = se[n_tx, 2, Scheme.ABS]
-        checks.append(ValidationCheck("figure1", f"ABS gap to saturation, n_tx={n_tx}",
-                                      abs(se30 - bound), 0.0, 0.2))
+        checks.append(ValidationCheck("figure1", f"{name[Scheme.ABS]}, n_tx={n_tx}",
+                                      gap[n_tx, 2, Scheme.ABS], 0.0, 0.2))
         checks.append(ValidationCheck("figure1", f"ABS flatness 25->30 dB, n_tx={n_tx}",
-                                      abs(se30 - se25), 0.0, 0.05))
+                                      flatness[n_tx], 0.0, 0.05))
 
     # Figure 2: hybrid vs Log-Rayleigh approximation, K = 2.
-    for n_tx, (lo, hi) in fig2_windows.items():
-        approx = hbs_se_approx(SnrPoint.from_db(30.0), n_tx)
-        checks.append(ValidationCheck("figure2", f"HBS gap to approx, n_tx={n_tx}",
-                                      abs(se[n_tx, 2, Scheme.HBS][0] - approx), lo, hi))
+    for n_tx, (lo, hi) in {16: (0.15, 0.45), 32: (0.05, 0.35), 128: (0.0, 0.1)}.items():
+        checks.append(ValidationCheck("figure2", f"{name[Scheme.HBS]}, n_tx={n_tx}",
+                                      gap[n_tx, 2, Scheme.HBS], lo, hi))
 
     # Figure 3: n_tx = 32, multiple beam counts.
-    fig3_abs = {}
-    for n_beams, (lo, hi) in fig3_windows.items():
-        bound = abs_saturation_bound(32, 0.5, n_beams)
-        fig3_abs[n_beams] = abs(se[32, n_beams, Scheme.ABS][0] - bound)
-        checks.append(ValidationCheck("figure3", f"ABS gap to saturation, n_beams={n_beams}",
-                                      fig3_abs[n_beams], lo, hi))
-    approx = hbs_se_approx(SnrPoint.from_db(30.0), 32)
-    fig3_hbs = abs(se[32, 5, Scheme.HBS][0] - approx)
-    checks.append(ValidationCheck("figure3", "HBS gap to approx, n_beams=5",
-                                  fig3_hbs, 0.7, 1.3))
+    for n_beams, scheme, lo, hi in ((3, Scheme.ABS, 0.0, 0.2), (5, Scheme.ABS, 0.05, 0.25),
+                                    (5, Scheme.HBS, 0.7, 1.3)):
+        checks.append(ValidationCheck("figure3", f"{name[scheme]}, n_beams={n_beams}",
+                                      gap[32, n_beams, scheme], lo, hi))
 
     # Figure 4: n_tx = 128, n_beams = 5; both gaps shrink vs figure 3.
-    approx = hbs_se_approx(SnrPoint.from_db(30.0), 128)
-    fig4_hbs = abs(se[128, 5, Scheme.HBS][0] - approx)
-    checks.append(ValidationCheck("figure4", "HBS gap to approx",
-                                  fig4_hbs, 0.05, 0.35))
-    checks.append(ValidationCheck("figure4", "HBS gap shrinks vs n_tx=32",
-                                  fig4_hbs, 0.0, fig3_hbs))
-    bound = abs_saturation_bound(128, 0.5, 5)
-    fig4_abs = abs(se[128, 5, Scheme.ABS][0] - bound)
-    checks.append(ValidationCheck("figure4", "ABS gap to saturation",
-                                  fig4_abs, 0.0, 0.2))
-    checks.append(ValidationCheck("figure4", "ABS gap shrinks vs n_tx=32",
-                                  fig4_abs, 0.0, fig3_abs[5]))
+    for scheme, lo, hi in ((Scheme.HBS, 0.05, 0.35), (Scheme.ABS, 0.0, 0.2)):
+        checks.append(ValidationCheck("figure4", name[scheme], gap[128, 5, scheme], lo, hi))
+        checks.append(ValidationCheck("figure4", f"{scheme.value} gap shrinks vs n_tx=32",
+                                      gap[128, 5, scheme], 0.0, gap[32, 5, scheme]))
     return checks
 
 

@@ -42,14 +42,15 @@ be trusted for: a condition bound eps64 ||R||_F ||R^-1||_F above 5e-10, or
 NaN, as the zero pivot of an exactly singular R gives.  Its signal comes from
 its own n_tx-long channel rows through the extended-precision chain
 ``hbs_beamformer_set``; its interference stays zero, as on every HBS trial.
-A draw that chain finds singular is redrawn from the trial's next resample
-stream: the same counters under the key word of attempt 1, 2, ...
-The redraw stays local to the cell: the shared block is never written.
-``MonteCarloEstimate.n_fallback`` counts those trials.  SNR enters only in
-the SE reduction ``se_from_gains``, so one simulation serves a whole SNR
-grid; at each point a scheme's chunks are reduced in place, straight into
-one (trials, K) SE array made once, with a chunk-sized scratch array for the
-denominator and no concatenated copy of the gains.
+``MonteCarloEstimate.n_fallback`` counts the flagged trials.  A draw that
+chain finds singular is redrawn from the trial's next resample stream: the
+same counters under the key word of attempt 1, 2, ...; ``n_resampled``
+counts the redraws.  The redraw stays local to the cell: the shared block is
+never written.  SNR enters only in the SE reduction ``se_from_gains``, so
+one simulation serves a whole SNR grid; at each point a scheme's chunks are
+reduced in place, straight into one (trials, K) SE array made once, with a
+chunk-sized scratch array for the denominator and no concatenated copy of
+the gains.
 An SNR point is an ``SnrPoint``, one linear value that its
 constructor checks to be finite and positive; ``check_cell`` checks every
 other input of a cell before anything is drawn.
@@ -66,7 +67,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cache
 from itertools import permutations, repeat
 
 import numpy as np
@@ -157,15 +157,6 @@ def _los(aods, gains, config):
     return np.sqrt(config.n_tx) * gains[:, None] * steering_vector(aods, config).conj().T
 
 
-@cache
-def _lags(n_users):
-    """The K(K-1)/2 lag index pairs (k, i), i > k, of ``_gram``, built once per
-    K and read-only, as every call shares them."""
-    k, i = np.triu_indices(n_users, 1)
-    k.flags.writeable = i.flags.writeable = False
-    return k, i
-
-
 def _gram(aods, config):
     """Real Gram matrices R of the unit-norm steering columns, trials last:
     (K, K, T) from (T, K) angles, (K, K) from one trial's (K,).
@@ -180,7 +171,7 @@ def _gram(aods, config):
     n_tx = config.n_tx
     zeta = phase_progression(aods.T, config)
     n_users = len(zeta)
-    k, i = _lags(n_users)
+    k, i = np.triu_indices(n_users, 1)
     den = zeta[i] - zeta[k]  # delta, until it becomes n_tx sin(delta/2)
     del zeta
     ratio = np.multiply(n_tx, den)

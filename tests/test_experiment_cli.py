@@ -15,7 +15,7 @@ from beamsteer.cli import (CONFIG_KEYS, SNR_GRID_MAX, UsageError, build_parser,
                            load_config_file, main, parse_int_list, parse_schemes,
                            parse_snr_spec)
 from beamsteer.experiment import (ABS_SATURATION_LABEL, CSV_HEADER,
-                                  ExperimentConfig, ValidationCheck,
+                                  ExperimentConfig, ValidationCheck, bound_rows,
                                   format_validation_report, rows_to_csv,
                                   run_sweep, run_validation)
 from beamsteer.semetrics import Scheme, SnrPoint, run_monte_carlo
@@ -499,6 +499,62 @@ def test_validation_equals_per_cell_calls(monkeypatch):
         for scheme, scheme_estimates in zip(schemes, estimates):
             assert (scheme_estimates,) == run_monte_carlo(config, n_users, [scheme], snrs,
                                                           300, 9)
+
+
+def test_validation_gaps_are_to_the_bound_rows_a_sweep_prints(monkeypatch):
+    # each (n_tx, n_beams, scheme) gap is |mean SE at 30 dB - the bound row a
+    # sweep of that cell prints|, measured once: 6 ABS and 5 HBS bound calls
+    abs_, hbs = Scheme.ABS, Scheme.HBS
+    se = {}  # (n_tx, n_beams, scheme) -> mean SE at each SNR point of the cell
+    for n_tx, n_beams, schemes, snr_dbs in [
+            (16, 2, (abs_, hbs), (30.0, 25.0)), (32, 2, (abs_, hbs), (30.0, 25.0)),
+            (128, 2, (abs_, hbs), (30.0, 25.0)), (32, 3, (abs_,), (30.0,)),
+            (32, 5, (abs_, hbs), (30.0,)), (128, 5, (abs_, hbs), (30.0,))]:
+        estimates = run_monte_carlo(ArrayConfig(n_tx, 0.5), n_beams, schemes,
+                                    [SnrPoint.from_db(x) for x in snr_dbs], 300, 9)
+        for scheme, scheme_estimates in zip(schemes, estimates):
+            se[n_tx, n_beams, scheme] = [e.mean for e in scheme_estimates]
+
+    def gap(n_tx, n_beams, scheme):
+        (row,) = bound_rows(n_tx, n_beams, 0.5, (30.0,), (scheme,))
+        return abs(se[n_tx, n_beams, scheme][0] - row.se_mean)
+
+    def flatness(n_tx):
+        se30, se25 = se[n_tx, 2, abs_]
+        return abs(se30 - se25)
+
+    calls = dict.fromkeys(["abs_saturation_bound", "hbs_se_approx"], 0)
+    for name in calls:
+        def counted(*args, name=name, bound=getattr(experiment, name)):
+            calls[name] += 1
+            return bound(*args)
+        monkeypatch.setattr(experiment, name, counted)
+    checks = run_validation(trials=300, seed=9)
+    assert calls == {"abs_saturation_bound": 6, "hbs_se_approx": 5}
+
+    expected = [
+        ("figure1", "ABS gap to saturation, n_tx=16", 0.0, 0.2, gap(16, 2, abs_)),
+        ("figure1", "ABS flatness 25->30 dB, n_tx=16", 0.0, 0.05, flatness(16)),
+        ("figure1", "ABS gap to saturation, n_tx=32", 0.0, 0.2, gap(32, 2, abs_)),
+        ("figure1", "ABS flatness 25->30 dB, n_tx=32", 0.0, 0.05, flatness(32)),
+        ("figure1", "ABS gap to saturation, n_tx=128", 0.0, 0.2, gap(128, 2, abs_)),
+        ("figure1", "ABS flatness 25->30 dB, n_tx=128", 0.0, 0.05, flatness(128)),
+        ("figure2", "HBS gap to approx, n_tx=16", 0.15, 0.45, gap(16, 2, hbs)),
+        ("figure2", "HBS gap to approx, n_tx=32", 0.05, 0.35, gap(32, 2, hbs)),
+        ("figure2", "HBS gap to approx, n_tx=128", 0.0, 0.1, gap(128, 2, hbs)),
+        ("figure3", "ABS gap to saturation, n_beams=3", 0.0, 0.2, gap(32, 3, abs_)),
+        ("figure3", "ABS gap to saturation, n_beams=5", 0.05, 0.25, gap(32, 5, abs_)),
+        ("figure3", "HBS gap to approx, n_beams=5", 0.7, 1.3, gap(32, 5, hbs)),
+        ("figure4", "HBS gap to approx", 0.05, 0.35, gap(128, 5, hbs)),
+        ("figure4", "HBS gap shrinks vs n_tx=32", 0.0, gap(32, 5, hbs), gap(128, 5, hbs)),
+        ("figure4", "ABS gap to saturation", 0.0, 0.2, gap(128, 5, abs_)),
+        ("figure4", "ABS gap shrinks vs n_tx=32", 0.0, gap(32, 5, abs_), gap(128, 5, abs_))]
+    assert [(c.figure, c.name, c.lo, c.hi, c.measured) for c in checks] == expected
+    # a shrink check's ceiling is the measured gap of its figure-3 check
+    measured = {(c.figure, c.name): c.measured for c in checks}
+    assert [c.hi for c in checks if "shrinks" in c.name] == [
+        measured["figure3", "HBS gap to approx, n_beams=5"],
+        measured["figure3", "ABS gap to saturation, n_beams=5"]]
 
 
 def test_gram_kernel_once_per_chunk_and_array(monkeypatch):
