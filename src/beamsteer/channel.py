@@ -118,9 +118,9 @@ def sample_path_params(stream, n_paths: int, count: int | None = None):
 
     Returns (aods, gains) of shape (n_paths,), or (count, n_paths): aod ~
     U[0, 2*pi), gain ~ CN(0, 1).  Each trial reads 4 ceil(3 n_paths / 4)
-    uniforms in the layout above; every consumer (the batched
-    ``semetrics.draw_blocks`` too) draws here, so the draw order is fixed in
-    one place.
+    uniforms in the layout above; every consumer (each chunk of
+    ``semetrics.run_monte_carlo`` too) draws here, so the draw order is fixed
+    in one place.
     """
     steps = _counter_steps(n_paths)
     u = _philox(stream, steps * (1 if count is None else count)).reshape(-1, 4 * steps)

@@ -145,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help=f"master RNG seed (default {DEFAULT_SEED})")
     run.add_argument("--threads", type=positive_int, default=1,
-                     help="worker processes for the draw stage, one pool per draw call; "
-                          "figure3 draws once per beam count (default 1)")
+                     help="processes that simulate the chunks: this one and a pool of the "
+                          "rest, capped by the chunk count and usable CPUs (default 1)")
     out = _Parser(add_help=False)
     out.add_argument("--out", help="output CSV path (default: stdout)")
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .arrays import ArrayConfig
 from .bounds import abs_saturation_bound, hbs_se_approx
-from .semetrics import Scheme, SnrPoint, check_cell, draw_blocks, run_monte_carlo
+from .semetrics import Scheme, SnrPoint, run_monte_carlo
 
 CSV_HEADER = "snr_db,n_tx,n_beams,label,se_mean,se_stderr,n_resampled"
 
@@ -98,35 +98,19 @@ def bound_rows(n_tx: int, n_beams: int, spacing: float, snr_db_grid, schemes=tup
     return rows
 
 
-def simulate_cells(cells, trials: int, seed: int, workers: int = 1):
-    """Estimates of each (n_users, ArrayConfig, schemes, snrs) cell of a command.
-
-    A trial's draws do not depend on the array or the scheme, so every cell
-    is checked, then one ``draw_blocks`` call draws one block per user count
-    (over one pool of ``workers`` processes) and each cell's
-    ``run_monte_carlo`` reads the block of its user count.  A cell's
-    estimates, one tuple per scheme, are those of its own ``run_monte_carlo``
-    call without the block.
-    """
-    for n_users, config, schemes, snrs in cells:
-        check_cell(config, n_users, schemes, snrs, trials)
-    blocks = draw_blocks(seed, dict.fromkeys(cell[0] for cell in cells), trials, workers=workers)
-    return [run_monte_carlo(config, n_users, schemes, snrs, trials, seed, block=blocks[n_users])
-            for n_users, config, schemes, snrs in cells]
-
-
 def run_sweep(cfg: ExperimentConfig, workers: int = 1):
     """Simulate every (n_tx, scheme, snr) grid point, plus bound rows.
 
     Each array is one simulation of all the schemes whose gains are reduced
     at every SNR point, and every array uses the same master seed and so the
-    same draws (common random numbers), drawn once for the whole sweep.
+    same draws (common random numbers), drawn once for the whole sweep by one
+    ``run_monte_carlo`` call.
     """
     snrs = [SnrPoint.from_db(snr_db) for snr_db in cfg.snr_db_grid]
     cells = [(cfg.n_beams, ArrayConfig(n_tx=n_tx, spacing=cfg.spacing), cfg.schemes, snrs)
              for n_tx in cfg.n_tx_list]
     rows = []
-    for n_tx, cell in zip(cfg.n_tx_list, simulate_cells(cells, cfg.trials, cfg.seed, workers)):
+    for n_tx, cell in zip(cfg.n_tx_list, run_monte_carlo(cells, cfg.trials, cfg.seed, workers)):
         for scheme, estimates in zip(cfg.schemes, cell):
             for snr_db, est in zip(cfg.snr_db_grid, estimates):
                 rows.append(ResultRow(snr_db=snr_db, n_tx=n_tx,
@@ -182,11 +166,11 @@ def run_validation(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
     rho = 30 dB and compare them against their expected windows.  Each
     (n_tx, n_beams, scheme) gap is to the bound row a sweep of its cell prints."""
     both = (Scheme.ABS, Scheme.HBS)
-    # (n_beams, n_tx, schemes, SNRs in dB) of every array; one draw serves
-    # them all.  An HBS estimate at 25 dB goes unused.
+    # (n_beams, n_tx, schemes, SNRs in dB) of every array, simulated by one
+    # run_monte_carlo call.  An HBS estimate at 25 dB goes unused.
     cells = [(2, n_tx, both, (30.0, 25.0)) for n_tx in (16, 32, 128)]
     cells += [(3, 32, (Scheme.ABS,), (30.0,)), (5, 32, both, (30.0,)), (5, 128, both, (30.0,))]
-    estimates = simulate_cells(
+    estimates = run_monte_carlo(
         [(n_beams, ArrayConfig(n_tx=n_tx, spacing=0.5), schemes,
           [SnrPoint.from_db(x) for x in snr_dbs]) for n_beams, n_tx, schemes, snr_dbs in cells],
         trials, seed, workers)

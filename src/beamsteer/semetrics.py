@@ -5,23 +5,23 @@ requested beamformer, and averages log2(1 + SINR) over trials and streams.
 Noise power is unity; rho is the per-user transmit SNR, so it multiplies
 both the signal and the interference terms.
 
-A run has two stages.  The draw stage, ``draw_blocks``, gives the
-first-attempt (aods, gains) of every trial as one read-only block per user
-count K, drawn chunk by chunk; with workers it maps every chunk of every
-block of the call over one process pool.  A trial's draws depend only on
-(seed, trial, K), never on n_tx or the scheme: trial t owns a fixed
-stretch of counters of the Philox stream keyed by the seed (the layout is
-in ``channel``), so a chunk of trials [s, s + count) is one
+A run passes once over (user count K, chunk) pairs.  A trial's draws
+depend only on (seed, trial, K), never on n_tx or the scheme: trial t owns a
+fixed stretch of counters of the Philox stream keyed by the seed (the layout
+is in ``channel``), so a chunk of trials [s, s + count) is one
 ``sample_path_params(child_rng(seed, K, s), K, count)`` call, which any
-worker can make in any order.  One block serves every cell of its K:
-``experiment`` draws the blocks of a sweep once (figure3, once per beam
-count) and hands each to the ``run_monte_carlo`` of every array of that K.
-The gain stage turns a block into each scheme's per-stream signal
-|h_k f_k|^2 and interference sum_{i != k} |h_k f_i|^2 on one array, chunk
-by chunk in the calling process: a (count, K) signal per chunk, and a
-(count, K) interference for ABS alone; HBS and NoInterference carry the
-scalar 0.0.  A chunk's Gram kernel is computed once for all the schemes that
-read it.
+process can make in any order.  ``run_monte_carlo`` takes every cell (user
+count, array, schemes, SNR points) of a command, draws each chunk of each K
+once, with ``_draw_chunk``, and runs the gain stage of that chunk on every
+array of its K, with ``_gain_chunk``.  Once the last chunk of a K is in, its
+cells are reduced and their gains dropped.  With workers, chunk j runs in
+the calling process when j % P == 0 and otherwise in one process pool of
+P - 1 workers, P the worker count capped by the chunk and CPU counts.
+The gain stage turns a chunk into each scheme's per-stream signal
+|h_k f_k|^2 and interference sum_{i != k} |h_k f_i|^2 on one array: a
+(count, K) signal per chunk, and a (count, K) interference for ABS alone;
+HBS and NoInterference carry the scalar 0.0.  A chunk's Gram kernel is
+computed once for all the schemes that read it.
 
 The gain stage is rho-free and works on K x K arrays alone.  In the pure-LoS
 model a trial's equivalent channel is H_hat = sqrt(N) diag(g) G, with G =
@@ -45,19 +45,19 @@ its own n_tx-long channel rows through the extended-precision chain
 ``MonteCarloEstimate.n_fallback`` counts the flagged trials.  A draw that
 chain finds singular is redrawn from the trial's next resample stream: the
 same counters under the key word of attempt 1, 2, ...; ``n_resampled``
-counts the redraws.  The redraw stays local to the cell: the shared block is
-never written.  SNR enters only in the SE reduction ``se_from_gains``, so
-one simulation serves a whole SNR grid; at each point a scheme's chunks are
-reduced in place, straight into one (trials, K) SE array made once, with a
-chunk-sized scratch array for the denominator and no concatenated copy of
-the gains.
+counts the redraws.  The redraw stays local to the cell: the chunk's draws,
+which the other arrays of its K read, are never written.  SNR enters only in
+the SE reduction ``se_from_gains``, so one simulation serves a whole SNR
+grid; at each point a scheme's chunks are reduced in place, straight into
+one (trials, K) SE array made once, with a chunk-sized scratch array for the
+denominator and no concatenated copy of the gains.
 An SNR point is an ``SnrPoint``, one linear value that its
 constructor checks to be finite and positive; ``check_cell`` checks every
 other input of a cell before anything is drawn.
 
 Per-trial results come from each trial's own counters and are reduced in a
 fixed order, so the estimate is bit-identical regardless of worker count,
-chunk size, execution order or whether the block was shared.
+chunk size, execution order or the other cells of the call.
 """
 
 from __future__ import annotations
@@ -65,9 +65,8 @@ from __future__ import annotations
 import enum
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import permutations, repeat
+from itertools import permutations
 
 import numpy as np
 
@@ -225,33 +224,6 @@ def _draw_chunk(seed, n_users, start, count):
     return sample_path_params(child_rng(seed, n_users, start), n_users, count)
 
 
-def draw_blocks(seed: int, user_counts, trials: int, workers: int = 1):
-    """Draw stage: first-attempt draws of trials [0, trials) for each user count.
-
-    Returns {n_users: (aods, gains)}, read-only arrays of shape (trials,
-    n_users), row t byte-identical to ``sample_path_params(child_rng(seed,
-    n_users, t), n_users)``.  Each block is drawn in chunks of ``_CHUNK``
-    trials, which keeps the kernel's temporaries small; with ``workers > 1``
-    the chunks of every block are drawn over one process pool, and the values
-    do not depend on it.  The pool starts all its processes at once, so it
-    gets no more than one per chunk and per CPU, and none where that cap is 1.
-    """
-    blocks = {k: (np.empty((trials, k)), np.empty((trials, k), dtype=complex))
-              for k in user_counts}
-    jobs = [(k, s) for k in blocks for s in range(0, trials, _CHUNK)]
-    processes = min(workers, len(jobs), os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=processes) if processes > 1 else None
-    with pool or nullcontext():
-        parts = (pool.map if pool else map)(_draw_chunk, repeat(seed), *zip(*jobs),
-                                            [min(_CHUNK, trials - s) for _, s in jobs])
-        for (k, s), (chunk_aods, chunk_gains) in zip(jobs, parts):
-            aods, gains = blocks[k]
-            aods[s:s + _CHUNK], gains[s:s + _CHUNK] = chunk_aods, chunk_gains
-    for aods, gains in blocks.values():
-        aods.flags.writeable = gains.flags.writeable = False
-    return blocks
-
-
 def _gain_chunk(aods, gains, config, schemes, seed, start):
     """Gain stage on trials [start, start + len(aods)) of ``seed``, drawn as
     (aods, gains): per scheme, their (count, K) signal, their interference,
@@ -289,7 +261,7 @@ def _hbs_chunk(aods, gains, config, gram, power, seed, start):
 
     n_resampled = 0
     for i in flagged:
-        # a redraw rebinds the trial's own arrays; the shared block stays as drawn
+        # a redraw rebinds the trial's own arrays; the chunk's draws stay as drawn
         trial_aods, trial_gains = aods[i], gains[i]
         for attempt in range(_MAX_ATTEMPTS):
             if attempt:
@@ -331,35 +303,66 @@ def check_cell(config: ArrayConfig, n_users: int, schemes, snrs, trials: int):
     return schemes, snrs
 
 
-def run_monte_carlo(config: ArrayConfig, n_users: int, schemes, snrs, trials: int,
-                    seed: int, *, block=None) -> tuple[tuple[MonteCarloEstimate, ...], ...]:
-    """Monte Carlo estimates of the expected per-stream SE over an SNR grid.
+def _cpus():
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    ``schemes`` is a non-empty sequence of distinct ``Scheme``; ``snrs`` is a
-    non-empty sequence of ``SnrPoint`` or linear SNRs, each finite and
-    positive; a point at which rho times a gain overflows float64 raises
-    ``ValueError``.  The trials are simulated once for all the schemes and
-    every point is reduced from the same gains; the result holds, per scheme
-    in the given order, a tuple of one ``MonteCarloEstimate`` per point, in
-    the given order.  A scheme's estimates are those of a call with that
-    scheme alone.  Streams of one trial are exchangeable under i.i.d. user
-    statistics, so each estimate averages over trials and streams.
 
-    The trials are drawn by ``draw_blocks`` in this process, unless ``block``,
-    that call's block for this seed, user count and trial count, is given to
-    share one draw between cells; the estimates are the same.
+def _chunk_job(seed, n_users, start, count, arrays):
+    """Trials [start, start + count) of one user count, drawn once: the gain
+    stage result of ``_gain_chunk`` on each (config, schemes) of ``arrays``."""
+    aods, gains = _draw_chunk(seed, n_users, start, count)
+    return [_gain_chunk(aods, gains, config, schemes, seed, start) for config, schemes in arrays]
+
+
+def run_monte_carlo(cells, trials: int, seed: int, workers: int = 1):
+    """Monte Carlo estimates of the expected per-stream SE of each cell.
+
+    A cell is (n_users, ArrayConfig, schemes, snrs): ``schemes`` a non-empty
+    sequence of distinct ``Scheme``, ``snrs`` a non-empty sequence of
+    ``SnrPoint`` or linear SNRs, each finite and positive; every cell is
+    checked before anything is drawn, and a point at which rho times a gain
+    overflows float64 raises ``ValueError``.  Each cell's trials are
+    simulated once for all its schemes and every point is reduced from the
+    same gains.  The result holds, per cell, per scheme in the given order, a
+    tuple of one ``MonteCarloEstimate`` per point, in the given order; a
+    scheme's estimates are those of a call with that cell and scheme alone.
+    Streams of one trial are exchangeable under i.i.d. user statistics, so
+    each estimate averages over trials and streams.
+
+    Chunk j of the (user count, chunk) list runs in this process when
+    j % P == 0, and otherwise in one pool of P - 1 worker processes, all
+    submitted up front; P is ``workers`` capped by the chunk count and the
+    CPUs this process may use.  The estimates do not depend on it.  If a
+    chunk raises, the queued chunks are cancelled and the pool is shut down
+    before the error propagates.
     """
-    schemes, snrs = check_cell(config, n_users, schemes, snrs, trials)
-    if block is None:
-        block = draw_blocks(seed, [n_users], trials)[n_users]
-    aods, gains = block
-    if aods.shape != (trials, n_users):
-        raise ValueError(f"block holds {aods.shape} draws, not (trials, n_users) = "
-                         f"{(trials, n_users)}")
-
-    per_scheme = zip(*(_gain_chunk(aods[s:s + _CHUNK], gains[s:s + _CHUNK], config, schemes,
-                                   seed, s) for s in range(0, trials, _CHUNK)))
-    return tuple(_estimates(parts, snrs) for parts in per_scheme)
+    cells = [(n_users, config, *check_cell(config, n_users, schemes, snrs, trials))
+             for n_users, config, schemes, snrs in cells]
+    groups = {}  # n_users -> indices of its cells
+    for i, cell in enumerate(cells):
+        groups.setdefault(cell[0], []).append(i)
+    jobs = [(seed, k, s, min(_CHUNK, trials - s), [cells[i][1:3] for i in groups[k]])
+            for k in groups for s in range(0, trials, _CHUNK)]
+    processes = max(1, min(workers, len(jobs), _cpus()))
+    pool = ProcessPoolExecutor(max_workers=processes - 1) if processes > 1 else None
+    estimates, parts = [None] * len(cells), []
+    try:
+        queued = {j: pool.submit(_chunk_job, *job) for j, job in enumerate(jobs) if j % processes}
+        for j, job in enumerate(jobs):
+            parts.append(queued.pop(j).result() if j in queued else _chunk_job(*job))
+            _, n_users, start, count, _ = job
+            if start + count == trials:  # the user count's last chunk: reduce its cells
+                for i, cell_parts in zip(groups[n_users], zip(*parts)):
+                    estimates[i] = tuple(_estimates(scheme_parts, cells[i][3])
+                                         for scheme_parts in zip(*cell_parts))
+                parts = []
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+    return estimates
 
 
 def _estimates(parts, snrs):

@@ -17,10 +17,11 @@ from beamsteer.bounds import bessel_j0, cross_correlation_expectation, hbs_se_ap
 from beamsteer.channel import child_rng, sample_path_params
 from beamsteer.cli import main
 from beamsteer.experiment import run_validation
-from beamsteer.semetrics import Scheme, SnrPoint, run_monte_carlo
+from beamsteer.semetrics import Scheme, SnrPoint
 
 from j0_oracle import j0_series, j0_zero
 from los_reference import PathParams, los_channel
+from single_cell import run_cell
 
 TRIALS = int(os.environ.get("BEAMSTEER_ACCEPT_TRIALS", "50000"))
 SEED = 2026
@@ -142,9 +143,9 @@ def test_criterion_7_hbs_slope():
                  f"rho-doubling {d1:.12f}, n_tx-doubling {d2:.12f}")
 
     cfg = ArrayConfig(128, 0.5)
-    ((est24, est30),) = run_monte_carlo(cfg, 2, [Scheme.HBS],
-                                        [SnrPoint.from_db(24.0), SnrPoint.from_db(30.0)],
-                                        TRIALS, SEED)
+    ((est24, est30),) = run_cell(cfg, 2, [Scheme.HBS],
+                                 [SnrPoint.from_db(24.0), SnrPoint.from_db(30.0)],
+                                 TRIALS, SEED)
     slope = (est30.mean - est24.mean) / 2.0
     ok &= _report("criterion 7 (simulated slope)", abs(slope - 1.0) <= 0.1,
                   f"{slope:.4f} b/s/Hz per 3 dB")

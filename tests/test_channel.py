@@ -65,11 +65,13 @@ def test_draw_order_fixed(n_paths):
 
 @pytest.mark.parametrize("n_paths", [1, 2, 3, 5])
 def test_draw_block_matches_philox_across_partial_chunks(n_paths):
-    # 5000 trials are the chunks 2048 + 2048 + 904, drawn in one process
+    # 5000 trials are the chunks 2048 + 2048 + 904, each drawn as a run draws it
     trials = 5000
     assert -(-trials // semetrics._CHUNK) == 3
     steps = -(-3 * n_paths // 4)
-    aods, gains = semetrics.draw_blocks(2026, [n_paths], trials)[n_paths]
+    aods, gains = map(np.concatenate, zip(*(
+        semetrics._draw_chunk(2026, n_paths, s, min(semetrics._CHUNK, trials - s))
+        for s in range(0, trials, semetrics._CHUNK))))
     raw = np.random.Philox(key=2026).random_raw(4 * steps * trials).reshape(trials, -1)
     ref_aods, ref_gains = reference_draws(raw, n_paths)
     for t in range(trials):

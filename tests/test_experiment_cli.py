@@ -1,8 +1,10 @@
 import argparse
+import multiprocessing
 import os
 import subprocess
 import sys
 import warnings
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,8 @@ from beamsteer.experiment import (ABS_SATURATION_LABEL, CSV_HEADER,
                                   format_validation_report, rows_to_csv,
                                   run_sweep, run_validation)
 from beamsteer.semetrics import Scheme, SnrPoint, run_monte_carlo
+
+from single_cell import run_cell
 
 
 def test_parse_snr_spec_forms():
@@ -59,7 +63,7 @@ def test_config_validation(tmp_path, monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew before the cell checks")
 
-    monkeypatch.setattr(experiment, "draw_blocks", no_draw)
+    monkeypatch.setattr(semetrics, "_draw_chunk", no_draw)
     for kwargs, match in (({"trials": 0}, "trials"), ({"n_beams": 0}, "beams"),
                           ({"schemes": ()}, "at least one scheme"),
                           ({"schemes": (Scheme.HBS, Scheme.ABS, Scheme.HBS)}, "repeats an entry")):
@@ -69,7 +73,7 @@ def test_config_validation(tmp_path, monkeypatch):
     cells = [(2, ArrayConfig(8), (Scheme.ABS,), [1.0]),
              (2, ArrayConfig(16), (Scheme.HBS, Scheme.HBS), [1.0])]
     with pytest.raises(ValueError, match="repeats an entry"):
-        experiment.simulate_cells(cells, 10, 0)
+        run_monte_carlo(cells, 10, 0)
     zero_beams = tmp_path / "zero.cfg"
     zero_beams.write_text("nbeams = 0\n")
     assert main(["sweep", "--config", str(zero_beams)]) == 1
@@ -331,41 +335,141 @@ def test_non_positive_threads_exit_one(capsys):
         assert "--threads" in capsys.readouterr().err
 
 
+class RecordingPool:
+    """Stands in for ``ProcessPoolExecutor`` and starts no process: it logs
+    its size and the (n_users, start) of each chunk submitted to it, and runs
+    the chunk in this process when it is submitted."""
+
+    log = []
+
+    def __init__(self, max_workers):
+        self.log.append(("pool", max_workers))
+
+    def submit(self, fn, *args):
+        self.log.append(("submit", args[1], args[2]))
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        self.log.append(("shutdown", cancel_futures))
+
+
+def set_cpus(patch, cpus):
+    """The CPUs this process may use: ``cpus`` in its affinity mask and its
+    count, or, with None, an OS that offers neither."""
+    patch.setattr(os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        patch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 @pytest.mark.parametrize("cpus, cap", [(64, 2), (1, 1), (None, 1)])
 def test_pool_size_capped(monkeypatch, capsys, cpus, cap):
     # ProcessPoolExecutor forks all max_workers processes when it starts, so
-    # --threads 100000 must ask for no more than one per chunk and per CPU:
-    # a 2-chunk sweep's cap is `cap`.  validate draws its K = 2, 3, 5 blocks,
-    # six chunks, over one pool; figure3 draws once per beam count, so it
-    # asks three times for a 2-chunk block's cap.  Where that cap is 1 no
-    # pool is requested: one worker would only add its start-up to the
-    # in-process draw.  The fake pool records each request and starts none.
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
+    # --threads 100000 must run no more processes than chunks or CPUs: this
+    # one and a pool of the rest.  A 2-chunk sweep's cap is `cap`.  validate
+    # runs its K = 2, 3, 5 chunks, six, in one call; figure3 makes one call
+    # per beam count, so it asks three times for a 2-chunk run's pool.  Where
+    # the cap is 1 no pool is requested: this process runs every chunk.
 
     trials = ["--trials", str(2 * semetrics._CHUNK)]
-    for args, pool, starts in ((["sweep", "--ntx", "8", "--no-bounds"], cap, 1),
-                               (["validate"], min(6, cpus or 1), 1),
-                               (["figure3"], cap, 3)):
-        requested = []
+    for args, processes, starts in ((["sweep", "--ntx", "8", "--no-bounds"], cap, 1),
+                                    (["validate"], min(6, cpus or 1), 1),
+                                    (["figure3"], cap, 3)):
         with monkeypatch.context() as patch:
             code = main(args + trials)
             single = capsys.readouterr().out
             patch.setattr(semetrics, "ProcessPoolExecutor", RecordingPool)
-            patch.setattr(os, "cpu_count", lambda: cpus)
+            patch.setattr(RecordingPool, "log", [])
+            set_cpus(patch, cpus)
             assert main(args + trials + ["--threads", "100000"]) == code
-        assert requested == ([pool] * starts if pool > 1 else [])
+            requested = [size for event, size, *_ in RecordingPool.log if event == "pool"]
+        assert requested == ([processes - 1] * starts if processes > 1 else [])
         assert capsys.readouterr().out == single
+
+
+def test_pool_counts_only_cpus_this_process_may_use(monkeypatch):
+    # Under an affinity mask of one CPU, a worker would share the CPU this
+    # process already runs on: no pool is requested, however many CPUs the
+    # machine has.
+    monkeypatch.setattr(semetrics, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "log", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert main(["sweep", "--ntx", "8", "--no-bounds", "--trials", str(2 * semetrics._CHUNK),
+                 "--threads", "2"]) == 0
+    assert RecordingPool.log == []
+
+
+@pytest.mark.parametrize("threads, in_process", [(2, [0, 2, 4, 6, 8]), (3, [0, 3, 6])])
+def test_chunks_split_between_this_process_and_pool(monkeypatch, capsys, threads, in_process):
+    # validate's chunks, three per K = 2, 3, 5, in that order: chunk j runs
+    # here when j % threads == 0, and every other chunk is submitted to one
+    # pool of threads - 1 workers before this process runs its own; a
+    # cancelling shutdown follows.  The report is the in-process run's.
+    trials = 2 * semetrics._CHUNK + 5
+    chunks = [(k, s) for k in (2, 3, 5) for s in range(0, trials, semetrics._CHUNK)]
+    argv = ["validate", "--trials", str(trials)]
+    assert main(argv) == 2
+    single = capsys.readouterr().out
+    drawn = []
+
+    def draw(seed, n_users, start, count, draw=semetrics._draw_chunk):
+        drawn.append((n_users, start))
+        return draw(seed, n_users, start, count)
+
+    monkeypatch.setattr(semetrics, "_draw_chunk", draw)
+    monkeypatch.setattr(semetrics, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "log", [])
+    set_cpus(monkeypatch, 4)
+    assert main(argv + ["--threads", str(threads)]) == 2
+    assert capsys.readouterr().out == single
+    pooled = [chunk for j, chunk in enumerate(chunks) if j not in in_process]
+    assert RecordingPool.log == ([("pool", threads - 1)] + [("submit", *c) for c in pooled]
+                                 + [("shutdown", True)])
+    assert drawn == pooled + [chunks[j] for j in in_process]
+
+
+@pytest.mark.parametrize("fails_in", ["this process", "worker"])
+def test_failing_chunk_leaves_no_worker(monkeypatch, capsys, fails_in):
+    # HBS users that no draw can separate raise in every chunk, the first in
+    # this process; a gain stage that raises past the first chunk fails in
+    # the pool's worker (forked after the patch, so it runs the patched
+    # module).  Either way the command exits 1 with the chunk's message,
+    # and no worker is left running.
+    argv = ["sweep", "--ntx", "8", "--nbeams", "2", "--spacing", "1e-12", "--schemes", "HBS",
+            "--trials", str(2 * semetrics._CHUNK), "--threads", "2", "--no-bounds"]
+    message = "cannot separate"
+    if fails_in == "worker":
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("a worker that is not forked does not run the patched module")
+        argv[argv.index("1e-12")] = "0.5"
+        message = f"chunk at {semetrics._CHUNK} failed"
+
+        def gain_chunk(aods, gains, config, schemes, seed, start, run=semetrics._gain_chunk):
+            if start:
+                raise ValueError(f"chunk at {start} failed")
+            return run(aods, gains, config, schemes, seed, start)
+
+        monkeypatch.setattr(semetrics, "_gain_chunk", gain_chunk)
+    set_cpus(monkeypatch, 2)
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def test_output_bytes_equal_for_any_thread_count(monkeypatch, capsys):
+    # validate over two full chunks and a short one per user count, with
+    # this process alone, with one worker and with two
+    set_cpus(monkeypatch, 4)
+    reports = set()
+    for threads in ("1", "2", "3"):
+        assert main(["validate", "--trials", str(2 * semetrics._CHUNK + 5), "--seed", "2026",
+                     "--threads", threads]) == 2
+        reports.add(capsys.readouterr().out)
+    assert len(reports) == 1
 
 
 def test_non_finite_snr_range_exit_one(capsys):
@@ -450,55 +554,53 @@ def test_seed_out_of_range_exit_one(tmp_path, capsys, command, seed):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_equals_per_cell_calls(monkeypatch, workers):
-    # the sweep draws one block and simulates the array's three schemes in
-    # one call; 32x5 at seed 2026 over 40000 trials includes trial 39902,
-    # which only HBS redraws
+    # the sweep simulates the array's three schemes in one call; 32x5 at
+    # seed 2026 over 40000 trials includes trial 39902, which only HBS redraws
     grid = (-10.0, 30.0)
     cfg = ExperimentConfig(n_tx_list=(32,), n_beams=5, snr_db_grid=grid, trials=40000,
                            seed=2026, schemes=tuple(Scheme), bounds=False)
     calls = []
 
-    def run(config, n_users, schemes, *args, run=experiment.run_monte_carlo, **kwargs):
-        calls.append(schemes)
-        return run(config, n_users, schemes, *args, **kwargs)
+    def run(cells, *args, run=experiment.run_monte_carlo, **kwargs):
+        calls.append([schemes for _, _, schemes, _ in cells])
+        return run(cells, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "run_monte_carlo", run)
     rows = run_sweep(cfg, workers=workers)
-    assert calls == [tuple(Scheme)]
+    assert calls == [[tuple(Scheme)]]
     expected = []
     for scheme in Scheme:
-        (estimates,) = run_monte_carlo(ArrayConfig(32, 0.5), 5, [scheme],
-                                       [SnrPoint.from_db(x) for x in grid], 40000, 2026)
+        (estimates,) = run_cell(ArrayConfig(32, 0.5), 5, [scheme],
+                                [SnrPoint.from_db(x) for x in grid], 40000, 2026)
         expected += [(scheme.value, e.mean, e.std_error, e.n_resampled) for e in estimates]
     assert [(r.label, r.se_mean, r.se_stderr, r.n_resampled) for r in rows] == expected
     assert [r.n_resampled for r in rows] == [0, 0, 1, 1, 0, 0]
 
 
 def test_validation_equals_per_cell_calls(monkeypatch):
-    # one draw call gives the K = 2, 3, 5 blocks, each drawn once, and six
-    # array cells simulate the eleven (n_tx, scheme) pairs
+    # one run_monte_carlo call draws each chunk of K = 2, 3 and 5 once, and
+    # six array cells simulate the eleven (n_tx, scheme) pairs
     drawn, runs = [], []
 
-    def draw(seed, user_counts, trials, workers, draw_blocks=semetrics.draw_blocks):
-        drawn.append(list(user_counts))
-        return draw_blocks(seed, user_counts, trials, workers=workers)
+    def draw(seed, n_users, start, count, draw=semetrics._draw_chunk):
+        drawn.append((n_users, start, count))
+        return draw(seed, n_users, start, count)
 
-    def run(config, n_users, schemes, snrs, trials, seed, *, block,
-            run=experiment.run_monte_carlo):
-        estimates = run(config, n_users, schemes, snrs, trials, seed, block=block)
-        runs.append((config, n_users, schemes, snrs, estimates))
+    def run(cells, trials, seed, workers, run=experiment.run_monte_carlo):
+        estimates = run(cells, trials, seed, workers)
+        runs.append((cells, estimates))
         return estimates
 
-    monkeypatch.setattr(experiment, "draw_blocks", draw)
+    monkeypatch.setattr(semetrics, "_draw_chunk", draw)
     monkeypatch.setattr(experiment, "run_monte_carlo", run)
     assert len(run_validation(trials=300, seed=9)) == 16
-    assert drawn == [[2, 3, 5]]
-    assert len(runs) == 6
-    assert sum(len(schemes) for _, _, schemes, _, _ in runs) == 11
-    for config, n_users, schemes, snrs, estimates in runs:
-        for scheme, scheme_estimates in zip(schemes, estimates):
-            assert (scheme_estimates,) == run_monte_carlo(config, n_users, [scheme], snrs,
-                                                          300, 9)
+    assert drawn == [(2, 0, 300), (3, 0, 300), (5, 0, 300)]
+    ((cells, estimates),) = runs
+    assert len(cells) == len(estimates) == 6
+    assert sum(len(schemes) for _, _, schemes, _ in cells) == 11
+    for (n_users, config, schemes, snrs), cell in zip(cells, estimates):
+        for scheme, scheme_estimates in zip(schemes, cell):
+            assert (scheme_estimates,) == run_cell(config, n_users, [scheme], snrs, 300, 9)
 
 
 def test_validation_gaps_are_to_the_bound_rows_a_sweep_prints(monkeypatch):
@@ -510,8 +612,8 @@ def test_validation_gaps_are_to_the_bound_rows_a_sweep_prints(monkeypatch):
             (16, 2, (abs_, hbs), (30.0, 25.0)), (32, 2, (abs_, hbs), (30.0, 25.0)),
             (128, 2, (abs_, hbs), (30.0, 25.0)), (32, 3, (abs_,), (30.0,)),
             (32, 5, (abs_, hbs), (30.0,)), (128, 5, (abs_, hbs), (30.0,))]:
-        estimates = run_monte_carlo(ArrayConfig(n_tx, 0.5), n_beams, schemes,
-                                    [SnrPoint.from_db(x) for x in snr_dbs], 300, 9)
+        estimates = run_cell(ArrayConfig(n_tx, 0.5), n_beams, schemes,
+                             [SnrPoint.from_db(x) for x in snr_dbs], 300, 9)
         for scheme, scheme_estimates in zip(schemes, estimates):
             se[n_tx, n_beams, scheme] = [e.mean for e in scheme_estimates]
 
@@ -559,7 +661,8 @@ def test_validation_gaps_are_to_the_bound_rows_a_sweep_prints(monkeypatch):
 
 def test_gram_kernel_once_per_chunk_and_array(monkeypatch):
     # ABS and HBS read the same Gram kernel R of a chunk: a sweep of all
-    # three schemes over two arrays and two chunks computes it four times
+    # three schemes over two arrays and two chunks computes it four times,
+    # chunk by chunk, each chunk's on both arrays
     computed = []
 
     def gram(aods, config, gram=semetrics._gram):
@@ -572,7 +675,7 @@ def test_gram_kernel_once_per_chunk_and_array(monkeypatch):
                            bounds=False)
     run_sweep(cfg)
     chunk = semetrics._CHUNK
-    assert computed == [(8, chunk), (8, chunk), (16, chunk), (16, chunk)]
+    assert computed == [(8, chunk), (16, chunk), (8, chunk), (16, chunk)]
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
