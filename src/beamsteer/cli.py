@@ -17,8 +17,7 @@ import sys
 from .arrays import ArrayConfig
 from .experiment import (DEFAULT_SEED, DEFAULT_SNR_GRID, DEFAULT_TRIALS,
                          ExperimentConfig, bound_rows, format_validation_report,
-                         run_figure, run_sweep, run_validation, rows_to_csv,
-                         write_csv)
+                         run_sweep, run_validation, rows_to_csv, write_csv)
 from .semetrics import Scheme
 
 USAGE_ERROR = 1
@@ -67,9 +66,9 @@ def _distinct(values, spec: str):
     return tuple(values)
 
 
-def parse_int_list(spec: str):
+def parse_int_list(spec: str, parse=int):
     try:
-        return _distinct([int(x) for x in spec.split(",")], spec)
+        return _distinct([parse(x) for x in spec.split(",")], spec)
     except ValueError:
         raise UsageError(f"bad integer list {spec!r}")
 
@@ -92,6 +91,20 @@ def positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
 
+
+def parse_positive_int_list(spec: str):
+    return parse_int_list(spec, positive_int)
+
+
+# The figure commands: each is the sweep of its --ntx, --nbeams and --schemes,
+# at spacing 0.5 with bound rows; N_RF = K = N_b.
+FIGURES = {
+    "figure1": {"ntx": (16, 32, 128), "nbeams": (2,), "schemes": (Scheme.ABS,)},
+    "figure2": {"ntx": (16, 32, 128), "nbeams": (2,),
+                "schemes": (Scheme.HBS, Scheme.NO_INTERFERENCE)},
+    "figure3": {"ntx": (32,), "nbeams": (2, 3, 5), "schemes": (Scheme.ABS, Scheme.HBS)},
+    "figure4": {"ntx": (128,), "nbeams": (5,), "schemes": (Scheme.ABS, Scheme.HBS)},
+}
 
 # Keys a sweep config file may set, one per sweep flag.
 CONFIG_KEYS = ("ntx", "nbeams", "snr_db", "trials", "seed", "spacing", "schemes")
@@ -135,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     grid = _Parser(add_help=False, parents=[snr])
     grid.add_argument("--ntx", type=parse_int_list, default=(32,),
                       help="comma list of transmit antenna counts (default 32)")
-    grid.add_argument("--nbeams", type=positive_int, default=2,
-                      help="number of beams (= users = RF chains, default 2)")
+    grid.add_argument("--nbeams", type=parse_positive_int_list, default=(2,),
+                      help="comma list of beam counts (= users = RF chains, default 2)")
     grid.add_argument("--spacing", type=float, default=0.5,
                       help="element spacing in wavelengths (default 0.5)")
     run = _Parser(add_help=False)
@@ -163,9 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
                    ).set_defaults(run=_run_validate)
     sub.add_parser("bounds", parents=[grid, out], help="closed-form bounds only, no simulation"
                    ).set_defaults(run=_run_bounds)
-    for name in ("figure1", "figure2", "figure3", "figure4"):
+    for name, preset in FIGURES.items():
         sub.add_parser(name, parents=[snr, run, out], help=f"reproduce the {name} scenario"
-                       ).set_defaults(run=_run_figure)
+                       ).set_defaults(run=_run_sweep, spacing=0.5, no_bounds=False, **preset)
     return parser
 
 
@@ -177,7 +190,7 @@ def _emit(rows, out_path):
 
 
 def _run_sweep(args) -> int:
-    cfg = ExperimentConfig(n_tx_list=args.ntx, n_beams=args.nbeams, snr_db_grid=args.snr_db,
+    cfg = ExperimentConfig(n_tx_list=args.ntx, n_beams_list=args.nbeams, snr_db_grid=args.snr_db,
                            trials=args.trials, seed=args.seed, spacing=args.spacing,
                            schemes=args.schemes, bounds=not args.no_bounds)
     _emit(run_sweep(cfg, workers=args.threads), args.out)
@@ -186,9 +199,10 @@ def _run_sweep(args) -> int:
 
 def _run_bounds(args) -> int:
     rows = []
-    for n_tx in args.ntx:
-        config = ArrayConfig(n_tx, args.spacing)  # the array checks sweep applies
-        rows.extend(bound_rows(config.n_tx, args.nbeams, config.spacing, args.snr_db))
+    for n_beams in args.nbeams:
+        for n_tx in args.ntx:
+            config = ArrayConfig(n_tx, args.spacing)  # the array checks sweep applies
+            rows.extend(bound_rows(config.n_tx, n_beams, config.spacing, args.snr_db))
     _emit(rows, args.out)
     return 0
 
@@ -197,13 +211,6 @@ def _run_validate(args) -> int:
     checks = run_validation(trials=args.trials, seed=args.seed, workers=args.threads)
     print(format_validation_report(checks))
     return 0 if all(c.passed for c in checks) else VALIDATION_FAILED
-
-
-def _run_figure(args) -> int:
-    rows = run_figure(args.command, trials=args.trials, seed=args.seed,
-                      snr_db_grid=args.snr_db, workers=args.threads)
-    _emit(rows, args.out)
-    return 0
 
 
 def _parse(parser, argv):

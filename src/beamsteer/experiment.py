@@ -1,5 +1,4 @@
-"""Experiment sweeps, figure presets, CSV output, and bound-vs-simulation
-validation checks."""
+"""Experiment sweeps, CSV output, and bound-vs-simulation validation checks."""
 
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ HBS_APPROX_LABEL = "HbsApproxBound"
 @dataclass(frozen=True)
 class ExperimentConfig:
     n_tx_list: tuple
-    n_beams: int
+    n_beams_list: tuple
     snr_db_grid: tuple = DEFAULT_SNR_GRID
     trials: int = DEFAULT_TRIALS
     seed: int = DEFAULT_SEED
@@ -34,11 +33,13 @@ class ExperimentConfig:
     bounds: bool = True
 
     def __post_init__(self):
-        # check_cell checks the scheme list, with every cell, before any draw
-        if not self.n_tx_list:
-            raise ValueError("n_tx_list must be non-empty")
-        if len(set(self.n_tx_list)) < len(self.n_tx_list):
-            raise ValueError(f"n_tx_list {self.n_tx_list!r} repeats an entry")
+        # each cell checks its counts and scheme list before any draw (check_cell)
+        for name in ("n_tx_list", "n_beams_list"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must be non-empty")
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} {values!r} repeats an entry")
         grid = list(self.snr_db_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_db_grid must be non-empty and strictly increasing")
@@ -99,51 +100,28 @@ def bound_rows(n_tx: int, n_beams: int, spacing: float, snr_db_grid, schemes=tup
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1):
-    """Simulate every (n_tx, scheme, snr) grid point, plus bound rows.
+    """Simulate every (n_beams, n_tx, scheme, snr) grid point, plus bound rows,
+    beam count outermost.
 
-    Each array is one simulation of all the schemes whose gains are reduced
-    at every SNR point, and every array uses the same master seed and so the
-    same draws (common random numbers), drawn once for the whole sweep by one
-    ``run_monte_carlo`` call.
+    Each (n_beams, n_tx) cell is one simulation of all the schemes whose gains
+    are reduced at every SNR point, and every array of a beam count uses the
+    same master seed and so the same draws (common random numbers), drawn once
+    for the whole sweep by one ``run_monte_carlo`` call.
     """
     snrs = [SnrPoint.from_db(snr_db) for snr_db in cfg.snr_db_grid]
-    cells = [(cfg.n_beams, ArrayConfig(n_tx=n_tx, spacing=cfg.spacing), cfg.schemes, snrs)
-             for n_tx in cfg.n_tx_list]
+    grid = [(n_beams, n_tx) for n_beams in cfg.n_beams_list for n_tx in cfg.n_tx_list]
+    cells = [(n_beams, ArrayConfig(n_tx=n_tx, spacing=cfg.spacing), cfg.schemes, snrs)
+             for n_beams, n_tx in grid]
     rows = []
-    for n_tx, cell in zip(cfg.n_tx_list, run_monte_carlo(cells, cfg.trials, cfg.seed, workers)):
+    for (n_beams, n_tx), cell in zip(grid, run_monte_carlo(cells, cfg.trials, cfg.seed, workers)):
         for scheme, estimates in zip(cfg.schemes, cell):
             for snr_db, est in zip(cfg.snr_db_grid, estimates):
                 rows.append(ResultRow(snr_db=snr_db, n_tx=n_tx,
-                                      n_beams=cfg.n_beams, label=scheme.value,
+                                      n_beams=n_beams, label=scheme.value,
                                       se_mean=est.mean, se_stderr=est.std_error,
                                       n_resampled=est.n_resampled))
         if cfg.bounds:
-            rows.extend(bound_rows(n_tx, cfg.n_beams, cfg.spacing, cfg.snr_db_grid, cfg.schemes))
-    return rows
-
-
-# Figure presets: d = 0.5, 50000 trials, SNR -10:5:30 dB, N_RF = K = N_b.
-FIGURE_PRESETS = {
-    "figure1": {"n_tx_list": (16, 32, 128), "n_beams_list": (2,),
-                "schemes": (Scheme.ABS,)},
-    "figure2": {"n_tx_list": (16, 32, 128), "n_beams_list": (2,),
-                "schemes": (Scheme.HBS, Scheme.NO_INTERFERENCE)},
-    "figure3": {"n_tx_list": (32,), "n_beams_list": (2, 3, 5),
-                "schemes": (Scheme.ABS, Scheme.HBS)},
-    "figure4": {"n_tx_list": (128,), "n_beams_list": (5,),
-                "schemes": (Scheme.ABS, Scheme.HBS)},
-}
-
-
-def run_figure(name: str, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
-               snr_db_grid=DEFAULT_SNR_GRID, workers: int = 1):
-    preset = FIGURE_PRESETS[name]
-    rows = []
-    for nb in preset["n_beams_list"]:
-        cfg = ExperimentConfig(n_tx_list=preset["n_tx_list"], n_beams=nb,
-                               snr_db_grid=tuple(snr_db_grid), trials=trials,
-                               seed=seed, schemes=preset["schemes"], bounds=True)
-        rows.extend(run_sweep(cfg, workers=workers))
+            rows.extend(bound_rows(n_tx, n_beams, cfg.spacing, cfg.snr_db_grid, cfg.schemes))
     return rows
 
 

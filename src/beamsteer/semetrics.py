@@ -348,21 +348,22 @@ def run_monte_carlo(cells, trials: int, seed: int, workers: int = 1):
             for k in groups for s in range(0, trials, _CHUNK)]
     processes = max(1, min(workers, len(jobs), _cpus()))
     pool = ProcessPoolExecutor(max_workers=processes - 1) if processes > 1 else None
-    estimates, parts = [None] * len(cells), []
+    estimates, parts = {}, []
     try:
         queued = {j: pool.submit(_chunk_job, *job) for j, job in enumerate(jobs) if j % processes}
         for j, job in enumerate(jobs):
             parts.append(queued.pop(j).result() if j in queued else _chunk_job(*job))
             _, n_users, start, count, _ = job
             if start + count == trials:  # the user count's last chunk: reduce its cells
-                for i, cell_parts in zip(groups[n_users], zip(*parts)):
-                    estimates[i] = tuple(_estimates(scheme_parts, cells[i][3])
-                                         for scheme_parts in zip(*cell_parts))
+                # a comprehension: unlike a loop's, its names keep no gains in this frame
+                estimates.update({i: tuple(_estimates(scheme_parts, cells[i][3])
+                                           for scheme_parts in zip(*cell_parts))
+                                  for i, cell_parts in zip(groups[n_users], zip(*parts))})
                 parts = []
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
-    return estimates
+    return [estimates[i] for i in range(len(cells))]
 
 
 def _estimates(parts, snrs):

@@ -48,15 +48,17 @@ def test_parse_lists():
 
 def test_config_validation(tmp_path, monkeypatch):
     with pytest.raises(ValueError):
-        ExperimentConfig(n_tx_list=(16,), n_beams=2, snr_db_grid=(10.0, 5.0))
+        ExperimentConfig(n_tx_list=(16,), n_beams_list=(2,), snr_db_grid=(10.0, 5.0))
     with pytest.raises(ValueError):
-        ExperimentConfig(n_tx_list=(), n_beams=2)
+        ExperimentConfig(n_tx_list=(), n_beams_list=(2,))
+    with pytest.raises(ValueError, match="n_beams_list must be non-empty"):
+        ExperimentConfig(n_tx_list=(16,), n_beams_list=())
     # a repeated entry wrote the same rows again: n_tx_list=(8, 8) with two
     # ABS schemes wrote each ABS row four times and the saturation row twice
     for kwargs in ({"n_tx_list": (8, 8), "schemes": (Scheme.ABS, Scheme.ABS)},
-                   {"n_tx_list": (8, 16, 8)}):
+                   {"n_tx_list": (8, 16, 8)}, {"n_beams_list": (2, 3, 2)}):
         with pytest.raises(ValueError, match="repeats an entry"):
-            ExperimentConfig(**{"n_tx_list": (8,), "n_beams": 2, **kwargs})
+            ExperimentConfig(**{"n_tx_list": (8,), "n_beams_list": (2,), **kwargs})
 
     # trial and beam counts and scheme lists are checked per cell, before
     # anything is drawn
@@ -64,10 +66,10 @@ def test_config_validation(tmp_path, monkeypatch):
         raise AssertionError("drew before the cell checks")
 
     monkeypatch.setattr(semetrics, "_draw_chunk", no_draw)
-    for kwargs, match in (({"trials": 0}, "trials"), ({"n_beams": 0}, "beams"),
+    for kwargs, match in (({"trials": 0}, "trials"), ({"n_beams_list": (0,)}, "beams"),
                           ({"schemes": ()}, "at least one scheme"),
                           ({"schemes": (Scheme.HBS, Scheme.ABS, Scheme.HBS)}, "repeats an entry")):
-        cfg = ExperimentConfig(**{"n_tx_list": (16,), "n_beams": 2, **kwargs})
+        cfg = ExperimentConfig(**{"n_tx_list": (16,), "n_beams_list": (2,), **kwargs})
         with pytest.raises(ValueError, match=match):
             run_sweep(cfg)
     cells = [(2, ArrayConfig(8), (Scheme.ABS,), [1.0]),
@@ -80,7 +82,7 @@ def test_config_validation(tmp_path, monkeypatch):
 
 
 def test_figure1_row_counts():
-    cfg = ExperimentConfig(n_tx_list=(16, 32, 128), n_beams=2, trials=20,
+    cfg = ExperimentConfig(n_tx_list=(16, 32, 128), n_beams_list=(2,), trials=20,
                            schemes=(Scheme.ABS,), bounds=True)
     rows = run_sweep(cfg)
     sim = [r for r in rows if r.label == "ABS"]
@@ -92,7 +94,7 @@ def test_figure1_row_counts():
 
 
 def test_csv_shape_and_header():
-    cfg = ExperimentConfig(n_tx_list=(8,), n_beams=2, snr_db_grid=(0.0, 10.0),
+    cfg = ExperimentConfig(n_tx_list=(8,), n_beams_list=(2,), snr_db_grid=(0.0, 10.0),
                            trials=10, schemes=(Scheme.ABS, Scheme.HBS), bounds=True)
     text = rows_to_csv(run_sweep(cfg))
     lines = text.strip().split("\n")
@@ -137,7 +139,7 @@ def test_config_file_and_flag_override(tmp_path):
 # key -> (file value, flag, ExperimentConfig field, parsed file value, parsed flag value)
 CONFIG_OVERRIDES = {
     "ntx": ("4,8", "--ntx=16", "n_tx_list", (4, 8), (16,)),
-    "nbeams": ("3", "--nbeams=4", "n_beams", 3, 4),
+    "nbeams": ("3,2", "--nbeams=4", "n_beams_list", (3, 2), (4,)),
     "snr_db": ("0,10", "--snr-db=-5:5:5", "snr_db_grid", (0.0, 10.0), (-5.0, 0.0, 5.0)),
     "trials": ("20", "--trials=30", "trials", 20, 30),
     "seed": ("3", "--seed=4", "seed", 3, 4),
@@ -264,6 +266,71 @@ def test_figure_preset_smoke(tmp_path):
     assert all(",128,5," in line for line in lines[1:])
 
 
+# figure -> its sweep flags and the (n_beams, n_tx) cells of its one run
+FIGURE_SWEEPS = {
+    "figure1": (["--ntx", "16,32,128", "--nbeams", "2", "--schemes", "ABS"],
+                [(2, 16), (2, 32), (2, 128)]),
+    "figure2": (["--ntx", "16,32,128", "--nbeams", "2", "--schemes", "HBS,NoInterference"],
+                [(2, 16), (2, 32), (2, 128)]),
+    "figure3": (["--ntx", "32", "--nbeams", "2,3,5", "--schemes", "ABS,HBS"],
+                [(2, 32), (3, 32), (5, 32)]),
+    "figure4": (["--ntx", "128", "--nbeams", "5", "--schemes", "ABS,HBS"], [(5, 128)]),
+}
+
+
+@pytest.mark.parametrize("figure", FIGURE_SWEEPS)
+def test_figure_is_one_sweep(monkeypatch, capsys, figure):
+    # a figure command prints what its sweep line prints, byte for byte, from
+    # one run_monte_carlo call over its cells, beam count outermost
+    flags, cells = FIGURE_SWEEPS[figure]
+    calls = []
+
+    def run(run_cells, *args, run=experiment.run_monte_carlo):
+        calls.append([(n_beams, config.n_tx) for n_beams, config, *_ in run_cells])
+        return run(run_cells, *args)
+
+    monkeypatch.setattr(experiment, "run_monte_carlo", run)
+    common = ["--trials", "300", "--snr-db", "0,30", "--seed", "4"]
+    assert main([figure] + common) == 0
+    printed = capsys.readouterr().out
+    assert calls == [cells]
+    assert main(["sweep"] + flags + common) == 0
+    assert capsys.readouterr().out == printed
+    assert calls == [cells, cells]
+
+
+def test_nbeams_list(tmp_path, capsys):
+    # bounds writes each beam count's rows, beam count outermost: the rows
+    # of one bounds call per beam count, in the list's order
+    out = tmp_path / "b.csv"
+    argv = ["bounds", "--ntx", "16,32", "--snr-db", "30", "--out", str(out)]
+    single = []
+    for n_beams in ("3", "2"):
+        assert main(argv + ["--nbeams", n_beams]) == 0
+        single += out.read_text().splitlines()[1:]
+    assert main(argv + ["--nbeams", "3,2"]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == CSV_HEADER and lines[1:] == single
+    assert [line.split(",")[1:3] for line in single] == [
+        ["16", "3"], ["16", "3"], ["32", "3"], ["32", "3"],
+        ["16", "2"], ["16", "2"], ["32", "2"], ["32", "2"]]
+    out.unlink()
+    # every entry is a distinct count of at least 1, on the command line and in a file
+    config = tmp_path / "nbeams.cfg"
+    for spec in ("2,2", "0", "-3", "abc", "2,0"):
+        for command in (["bounds"], ["sweep", "--trials", "10"]):
+            assert main(command + ["--nbeams", spec, "--out", str(out)]) == 1
+            assert "--nbeams" in capsys.readouterr().err
+        config.write_text(f"nbeams = {spec}\n")
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+        assert "--nbeams" in capsys.readouterr().err
+    assert not out.exists()
+    config.write_text("nbeams = 0\n")
+    assert main(["sweep", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        "error: argument --nbeams: must be a positive integer, got '0'\n")
+
+
 def test_validation_report_formatting():
     checks = [ValidationCheck("figure1", "demo", 0.1, 0.0, 0.2),
               ValidationCheck("figure2", "demo2", 0.5, 0.0, 0.2)]
@@ -280,7 +347,7 @@ def test_validate_subcommand_tiny(capsys):
 
 
 def test_saturation_rows_constant_across_file():
-    cfg = ExperimentConfig(n_tx_list=(16,), n_beams=2, snr_db_grid=(0.0, 30.0),
+    cfg = ExperimentConfig(n_tx_list=(16,), n_beams_list=(2,), snr_db_grid=(0.0, 30.0),
                            trials=5, schemes=(Scheme.ABS,), bounds=True)
     rows = run_sweep(cfg)
     sat = [r for r in rows if r.label == ABS_SATURATION_LABEL]
@@ -321,7 +388,7 @@ def test_non_positive_trials_exit_one(monkeypatch, capsys):
     # --trials 0 must not fall back to the 50000-trial default
     calls = []
     monkeypatch.setattr(cli, "run_validation", lambda **kw: calls.append(kw) or [])
-    monkeypatch.setattr(cli, "run_figure", lambda *a, **kw: calls.append(kw) or [])
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **kw: calls.append(kw) or [])
     for command in ("validate", "figure1"):
         assert main([command, "--trials", "0"]) == 1
         assert "--trials" in capsys.readouterr().err
@@ -370,14 +437,12 @@ def test_pool_size_capped(monkeypatch, capsys, cpus, cap):
     # ProcessPoolExecutor forks all max_workers processes when it starts, so
     # --threads 100000 must run no more processes than chunks or CPUs: this
     # one and a pool of the rest.  A 2-chunk sweep's cap is `cap`.  validate
-    # runs its K = 2, 3, 5 chunks, six, in one call; figure3 makes one call
-    # per beam count, so it asks three times for a 2-chunk run's pool.  Where
+    # and figure3 each run their K = 2, 3, 5 chunks, six, in one call.  Where
     # the cap is 1 no pool is requested: this process runs every chunk.
 
     trials = ["--trials", str(2 * semetrics._CHUNK)]
-    for args, processes, starts in ((["sweep", "--ntx", "8", "--no-bounds"], cap, 1),
-                                    (["validate"], min(6, cpus or 1), 1),
-                                    (["figure3"], cap, 3)):
+    for args, processes in ((["sweep", "--ntx", "8", "--no-bounds"], cap),
+                            (["validate"], min(6, cpus or 1)), (["figure3"], min(6, cpus or 1))):
         with monkeypatch.context() as patch:
             code = main(args + trials)
             single = capsys.readouterr().out
@@ -386,7 +451,7 @@ def test_pool_size_capped(monkeypatch, capsys, cpus, cap):
             set_cpus(patch, cpus)
             assert main(args + trials + ["--threads", "100000"]) == code
             requested = [size for event, size, *_ in RecordingPool.log if event == "pool"]
-        assert requested == ([processes - 1] * starts if processes > 1 else [])
+        assert requested == ([processes - 1] if processes > 1 else [])
         assert capsys.readouterr().out == single
 
 
@@ -557,7 +622,7 @@ def test_sweep_equals_per_cell_calls(monkeypatch, workers):
     # the sweep simulates the array's three schemes in one call; 32x5 at
     # seed 2026 over 40000 trials includes trial 39902, which only HBS redraws
     grid = (-10.0, 30.0)
-    cfg = ExperimentConfig(n_tx_list=(32,), n_beams=5, snr_db_grid=grid, trials=40000,
+    cfg = ExperimentConfig(n_tx_list=(32,), n_beams_list=(5,), snr_db_grid=grid, trials=40000,
                            seed=2026, schemes=tuple(Scheme), bounds=False)
     calls = []
 
@@ -670,7 +735,7 @@ def test_gram_kernel_once_per_chunk_and_array(monkeypatch):
         return gram(aods, config)
 
     monkeypatch.setattr(semetrics, "_gram", gram)
-    cfg = ExperimentConfig(n_tx_list=(8, 16), n_beams=3, snr_db_grid=(0.0, 20.0),
+    cfg = ExperimentConfig(n_tx_list=(8, 16), n_beams_list=(3,), snr_db_grid=(0.0, 20.0),
                            trials=2 * semetrics._CHUNK, seed=3, schemes=tuple(Scheme),
                            bounds=False)
     run_sweep(cfg)

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -468,6 +469,31 @@ def test_run_holds_each_gain_once():
 
     one, many = run_peak(semetrics._CHUNK), run_peak(16 * semetrics._CHUNK)
     assert (many - one) / (15 * semetrics._CHUNK * 5) < 20
+
+
+def test_user_count_gains_dropped_once_reduced(monkeypatch):
+    # Once a user count's cells are reduced, nothing in the run still refers
+    # to their gains: both K = 2 chunks' signals are gone before the first of
+    # K = 5's chunks is drawn, so a later user count never runs beside them.
+    cfg = ArrayConfig(8, 0.5)
+    signals, alive = [], []  # weak references to K = 2's signals; live ones per K = 5 draw
+
+    def gain_chunk(aods, gains, config, schemes, seed, start, run=semetrics._gain_chunk):
+        out = run(aods, gains, config, schemes, seed, start)
+        if aods.shape[1] == 2:
+            signals.extend(weakref.ref(signal) for signal, *_ in out)
+        return out
+
+    def draw(seed, n_users, start, count, draw=semetrics._draw_chunk):
+        if n_users == 5:
+            alive.append(sum(ref() is not None for ref in signals))
+        return draw(seed, n_users, start, count)
+
+    monkeypatch.setattr(semetrics, "_gain_chunk", gain_chunk)
+    monkeypatch.setattr(semetrics, "_draw_chunk", draw)
+    cells = [(2, cfg, (Scheme.ABS,), [1.0]), (5, cfg, (Scheme.ABS,), [1.0])]
+    run_monte_carlo(cells, 2 * semetrics._CHUNK, 3)
+    assert len(signals) == 2 and alive == [0, 0]
 
 
 def test_philox_works_in_fixed_buffers():
