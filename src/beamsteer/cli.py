@@ -138,48 +138,33 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # Parent parsers: each input is declared once, with its parse function
-    # and its default, and the commands take the groups they use.
-    snr = _Parser(add_help=False)
-    snr.add_argument("--snr-db", dest="snr_db", type=parse_snr_spec, default=DEFAULT_SNR_GRID,
+# Every input, declared once with its parse function and its default; each
+# command takes the inputs it uses, in order.
+ARGUMENTS = {
+    "--snr-db": dict(dest="snr_db", type=parse_snr_spec, default=DEFAULT_SNR_GRID,
                      help="SNR grid in dB, 'a,b,c' or 'start:step:stop' (default -10:5:30); "
-                          "a value starting with '-' needs the '=' form: --snr-db=-10:5:30")
-    grid = _Parser(add_help=False, parents=[snr])
-    grid.add_argument("--ntx", type=parse_int_list, default=(32,),
-                      help="comma list of transmit antenna counts (default 32)")
-    grid.add_argument("--nbeams", type=parse_positive_int_list, default=(2,),
-                      help="comma list of beam counts (= users = RF chains, default 2)")
-    grid.add_argument("--spacing", type=float, default=0.5,
-                      help="element spacing in wavelengths (default 0.5)")
-    run = _Parser(add_help=False)
-    run.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS,
-                     help=f"Monte Carlo trials (default {DEFAULT_TRIALS})")
-    run.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                     help=f"master RNG seed (default {DEFAULT_SEED})")
-    run.add_argument("--threads", type=positive_int, default=1,
-                     help="processes that simulate the chunks: this one and a pool of the "
-                          "rest, capped by the chunk count and usable CPUs (default 1)")
-    out = _Parser(add_help=False)
-    out.add_argument("--out", help="output CSV path (default: stdout)")
-
-    parser = _Parser(prog="beamsteer", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("sweep", parents=[grid, run, out], help="simulate a configurable grid")
-    p.add_argument("--schemes", type=parse_schemes, default=(Scheme.ABS,),
-                   help="comma subset of ABS,HBS,NoInterference (default ABS)")
-    p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--no-bounds", action="store_true", help="omit bound rows")
-    p.set_defaults(run=_run_sweep)
-    sub.add_parser("validate", parents=[run], help="check simulation-vs-bound gaps"
-                   ).set_defaults(run=_run_validate)
-    sub.add_parser("bounds", parents=[grid, out], help="closed-form bounds only, no simulation"
-                   ).set_defaults(run=_run_bounds)
-    for name, preset in FIGURES.items():
-        sub.add_parser(name, parents=[snr, run, out], help=f"reproduce the {name} scenario"
-                       ).set_defaults(run=_run_sweep, spacing=0.5, no_bounds=False, **preset)
-    return parser
+                          "a value starting with '-' needs the '=' form: --snr-db=-10:5:30"),
+    "--ntx": dict(type=parse_int_list, default=(32,),
+                  help="comma list of transmit antenna counts (default 32)"),
+    "--nbeams": dict(type=parse_positive_int_list, default=(2,),
+                     help="comma list of beam counts (= users = RF chains, default 2)"),
+    "--spacing": dict(type=float, default=0.5,
+                      help="element spacing in wavelengths (default 0.5)"),
+    "--trials": dict(type=positive_int, default=DEFAULT_TRIALS,
+                     help=f"Monte Carlo trials (default {DEFAULT_TRIALS})"),
+    "--seed": dict(type=int, default=DEFAULT_SEED,
+                   help=f"master RNG seed (default {DEFAULT_SEED})"),
+    "--threads": dict(type=positive_int, default=1,
+                      help="processes that simulate the chunks: this one and a pool of the "
+                           "rest, capped by the chunk count and usable CPUs (default 1)"),
+    "--out": dict(help="output CSV path (default: stdout)"),
+    "--schemes": dict(type=parse_schemes, default=(Scheme.ABS,),
+                      help="comma subset of ABS,HBS,NoInterference (default ABS)"),
+    "--config": dict(help="key=value config file; flags override it"),
+    "--no-bounds": dict(action="store_true", help="omit bound rows"),
+}
+_GRID = ("--snr-db", "--ntx", "--nbeams", "--spacing")
+_RUN = ("--trials", "--seed", "--threads")
 
 
 def _emit(rows, out_path):
@@ -213,6 +198,45 @@ def _run_validate(args) -> int:
     return 0 if all(c.passed for c in checks) else VALIDATION_FAILED
 
 
+# name -> (help, inputs, defaults) of each command
+COMMANDS = {
+    "sweep": ("simulate a configurable grid",
+              _GRID + _RUN + ("--out", "--schemes", "--config", "--no-bounds"),
+              {"run": _run_sweep}),
+    "validate": ("check simulation-vs-bound gaps", _RUN, {"run": _run_validate}),
+    "bounds": ("closed-form bounds only, no simulation", _GRID + ("--out",), {"run": _run_bounds}),
+    **{name: (f"reproduce the {name} scenario", ("--snr-db",) + _RUN + ("--out",),
+              {"run": _run_sweep, "spacing": 0.5, "no_bounds": False, **preset})
+       for name, preset in FIGURES.items()},
+}
+
+
+def _add_command(parser, name):
+    _, flags, defaults = COMMANDS[name]
+    for flag in flags:
+        parser.add_argument(flag, **ARGUMENTS[flag])
+    parser.set_defaults(**defaults)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, each a subcommand."""
+    parser = _Parser(prog="beamsteer", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=text), name)
+    return parser
+
+
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of command ``name`` alone: the subparser ``build_parser``
+    makes, with its prog, arguments and defaults, and the command's name."""
+    parser = _add_command(_Parser(prog=f"beamsteer {name}"), name)
+    parser.set_defaults(command=name)
+    return parser
+
+
 def _parse(parser, argv):
     """Parse argv; a sweep's --config file is read as ``--key=value`` flags
     placed before the command line's own, so the flags override it (the last
@@ -221,14 +245,17 @@ def _parse(parser, argv):
     if getattr(args, "config", None):
         file_flags = [f"--{key.replace('_', '-')}={value}"
                       for key, value in load_config_file(args.config).items()]
-        args = parser.parse_args(argv[:1] + file_flags + argv[1:])
+        args = parser.parse_args(file_flags + argv)
     return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parse(build_parser(), argv)
+        if argv and argv[0] in COMMANDS:
+            args = _parse(command_parser(argv[0]), argv[1:])
+        else:  # help, or no command or an unknown one: the full parser says so
+            args = build_parser().parse_args(argv)
         return args.run(args)
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,21 +30,23 @@ P = diag(e^{j(N-1)zeta_k/2}) is unitary and R, the real, symmetric
 Dirichlet kernel of ``_gram``, has unit diagonal, so |G_ki| = |R_ki|,
 (G^-1)_kk = (R^-1)_kk and the Frobenius norms of G and G^-1 are those of R
 and R^-1: no scheme needs a complex exponential or an n_tx-long vector.
-With the power N |g_k|^2 as signal, NoInterference has no interference and
-needs no angles, and ABS has the interference N |g_k|^2 sum_{i != k}
-R_ki^2.  The hybrid scheme (ZF on H_hat, then vector normalization) has the
-signal N |g_k|^2 / (R^-1)_kk and no interference, from one real float64
-inverse per chunk, ``_gram_inverse``.  The kernel runs trials last: a
-chunk's R is one (K, K, T) array, so every elementwise step of R, of its
-inverse and of the sums over them covers a contiguous run of T trials; the
-schemes still give (T, K) gains.  One test flags a trial that inverse cannot
-be trusted for: a condition bound eps64 ||R||_F ||R^-1||_F above 5e-10, or
-NaN, as the zero pivot of an exactly singular R gives.  Its signal comes from
-its own n_tx-long channel rows through the extended-precision chain
-``hbs_beamformer_set``; its interference stays zero, as on every HBS trial.
+No scheme reads the phase of g, so a trial is drawn as its angles and its
+powers x_k = |g_k|^2.  With the power N x_k as signal, NoInterference has no
+interference and needs no angles, and ABS has the interference
+N x_k sum_{i != k} R_ki^2.  The hybrid scheme (ZF on H_hat, then vector
+normalization) has the signal N x_k / (R^-1)_kk and no interference, from
+one real float64 inverse per chunk, ``_gram_inverse``.  The kernel runs
+trials last: a chunk's R is one (K, K, T) array, so every elementwise step of
+R, of its inverse and of the sums over them covers a contiguous run of T
+trials; the schemes still give (T, K) gains.  One test flags a trial that
+inverse cannot be trusted for: a condition bound eps64 ||R||_F ||R^-1||_F
+above 5e-10, or NaN, as the zero pivot of an exactly singular R gives.  Its
+signal comes from its own n_tx-long channel rows, of gains sqrt(x_k) with
+zero phase, through the extended-precision chain ``hbs_beamformer_set``; its
+interference stays zero, as on every HBS trial.
 ``MonteCarloEstimate.n_fallback`` counts the flagged trials.  A draw that
 chain finds singular is redrawn from the trial's next resample stream: the
-same counters under the key word of attempt 1, 2, ...; ``n_resampled``
+same steps with the attempt 1, 2, ... in its counter words; ``n_resampled``
 counts the redraws.  The redraw stays local to the cell: the chunk's draws,
 which the other arrays of its K read, are never written.  SNR enters only in
 the SE reduction ``se_from_gains``, so one simulation serves a whole SNR
@@ -151,9 +153,10 @@ def _off_diagonal_sums(r):
     return sums
 
 
-def _los(aods, gains, config):
-    """LoS channel rows (K, n_tx) of one trial: sqrt(n_tx) g_k a_k^H."""
-    return np.sqrt(config.n_tx) * gains[:, None] * steering_vector(aods, config).conj().T
+def _los(aods, x, config):
+    """LoS channel rows (K, n_tx) of one trial: sqrt(n_tx) g_k a_k^H, with the
+    gain g_k = sqrt(x_k) of zero phase."""
+    return np.sqrt(config.n_tx) * np.sqrt(x)[:, None] * steering_vector(aods, config).conj().T
 
 
 def _gram(aods, config):
@@ -220,37 +223,37 @@ def _frobenius(m):
 
 
 def _draw_chunk(seed, n_users, start, count):
-    """(aods, gains) of trials [start, start + count), from one kernel call."""
+    """(aods, x) of trials [start, start + count), from one kernel call."""
     return sample_path_params(child_rng(seed, n_users, start), n_users, count)
 
 
-def _gain_chunk(aods, gains, config, schemes, seed, start):
+def _gain_chunk(aods, x, config, schemes, seed, start):
     """Gain stage on trials [start, start + len(aods)) of ``seed``, drawn as
-    (aods, gains): per scheme, their (count, K) signal, their interference,
+    (aods, x): per scheme, their (count, K) signal, their interference,
     (count, K) for ABS and the scalar 0.0 for HBS and NoInterference, the
     number of resampled draws and the number of extended-precision trials.
     The Gram kernel R is computed once for the schemes that read it; HBS
     inverts it in place, so it runs after ABS, whatever the order given."""
     gram = _gram(aods, config) if {Scheme.ABS, Scheme.HBS} & set(schemes) else None
-    power = config.n_tx * np.abs(gains) ** 2
+    power = config.n_tx * x
     out = {}
     for scheme in sorted(schemes, key=lambda s: s is Scheme.HBS):
         if scheme is Scheme.ABS:
             out[scheme] = (power, power * _off_diagonal_sums(gram).T, 0, 0)
         elif scheme is Scheme.HBS:
-            out[scheme] = _hbs_chunk(aods, gains, config, gram, power, seed, start)
+            out[scheme] = _hbs_chunk(aods, x, config, gram, power, seed, start)
         else:
             out[scheme] = (power, 0.0, 0, 0)
     return [out[scheme] for scheme in schemes]
 
 
-def _hbs_chunk(aods, gains, config, gram, power, seed, start):
+def _hbs_chunk(aods, x, config, gram, power, seed, start):
     """``_gain_chunk``'s HBS entry; it inverts the chunk's Gram kernels in place."""
     n_users = aods.shape[1]
     norm = _frobenius(gram)
     inv = _gram_inverse(gram)
     # ZF with vector normalization leaves stream k the signal
-    # N |g_k|^2 / (R^-1)_kk and no leakage: G w_i = e_i / (sqrt(N) g_i).
+    # N x_k / (R^-1)_kk and no leakage: G w_i = e_i / (sqrt(N) g_i).
     # ||R||_F ||R^-1||_F >= cond_2(R), and eps64 * cond_2 is the scale of the
     # float64 inverse's forward error.  As (R^-1)_kk >= 1, a non-positive or
     # non-finite diagonal entry comes only with a bound far above it, or NaN.
@@ -262,12 +265,12 @@ def _hbs_chunk(aods, gains, config, gram, power, seed, start):
     n_resampled = 0
     for i in flagged:
         # a redraw rebinds the trial's own arrays; the chunk's draws stay as drawn
-        trial_aods, trial_gains = aods[i], gains[i]
+        trial_aods, trial_x = aods[i], x[i]
         for attempt in range(_MAX_ATTEMPTS):
             if attempt:
-                trial_aods, trial_gains = sample_path_params(
+                trial_aods, trial_x = sample_path_params(
                     child_rng(seed, n_users, start + i, attempt), n_users)
-            h = _los(trial_aods, trial_gains, config)
+            h = _los(trial_aods, trial_x, config)
             try:
                 f = hbs_beamformer_set(h, trial_aods, config)
             except (SingularEquivalentChannel, DegeneratePrecoder):
@@ -313,8 +316,8 @@ def _cpus():
 def _chunk_job(seed, n_users, start, count, arrays):
     """Trials [start, start + count) of one user count, drawn once: the gain
     stage result of ``_gain_chunk`` on each (config, schemes) of ``arrays``."""
-    aods, gains = _draw_chunk(seed, n_users, start, count)
-    return [_gain_chunk(aods, gains, config, schemes, seed, start) for config, schemes in arrays]
+    aods, x = _draw_chunk(seed, n_users, start, count)
+    return [_gain_chunk(aods, x, config, schemes, seed, start) for config, schemes in arrays]
 
 
 def run_monte_carlo(cells, trials: int, seed: int, workers: int = 1):

@@ -114,9 +114,9 @@ def test_criterion_6_zf_exactness():
     singular = 0
     for t in range(n_draws):
         rng = child_rng(SEED + 1, 4, t)
-        angles, gains = sample_path_params(rng, 4)
+        angles, x = sample_path_params(rng, 4)
         h = np.stack([los_channel(PathParams(g, a), cfg)
-                      for g, a in zip(gains, angles)])
+                      for g, a in zip(np.sqrt(x), angles)])
         try:
             f = hbs_beamformer_set(h, angles, cfg)
         except SingularEquivalentChannel:

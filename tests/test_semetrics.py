@@ -25,15 +25,16 @@ from single_cell import run_cell
 def dense_trial_se(cfg, n_users, scheme, rho, seed, trial):
     """One trial rebuilt from the module operations, one user at a time.
 
-    Draws from ``child_rng``, forms each LoS row with ``los_channel``, takes
+    Draws from ``child_rng``, forms each LoS row with ``los_channel`` from the
+    gain sqrt(x) of zero phase, takes
     the steering columns (ABS, NoInterference) or ``hbs_beamformer_set`` (HBS,
     redrawing from the next attempt's stream while it reports a singular
     draw) and evaluates the SINR from ``h @ F`` directly.
     Returns (per-stream SE, number of redraws).
     """
     for attempt in range(1000):
-        aods, gains = sample_path_params(child_rng(seed, n_users, trial, attempt), n_users)
-        h = np.stack([los_channel(PathParams(g, a), cfg) for g, a in zip(gains, aods)])
+        aods, x = sample_path_params(child_rng(seed, n_users, trial, attempt), n_users)
+        h = np.stack([los_channel(PathParams(g, a), cfg) for g, a in zip(np.sqrt(x), aods)])
         f = steering_vector(aods, cfg)
         if scheme is Scheme.HBS:
             try:
@@ -70,8 +71,8 @@ def kernel_se(cfg, n_users, scheme, rho, seed, start, count, block=None):
     The gain stage runs on ``block``, by default the draws of trials
     [start, start + count), one generator call as a run's chunk makes it.
     """
-    aods, gains = block or sample_path_params(child_rng(seed, n_users, start), n_users, count)
-    ((signal, interference, resampled, _),) = _gain_chunk(aods, gains, cfg, [Scheme(scheme)],
+    aods, x = block or sample_path_params(child_rng(seed, n_users, start), n_users, count)
+    ((signal, interference, resampled, _),) = _gain_chunk(aods, x, cfg, [Scheme(scheme)],
                                                           seed, start)
     return se_from_gains(signal, interference, rho), resampled
 
@@ -150,10 +151,10 @@ def test_se_values():
 
 def test_low_snr_se_keeps_its_digits():
     # at -120 dB, 1 + SINR rounds away the SINR's low digits: log2(1 + SINR)
-    # read the mean 2.4e-8 relative low
+    # read the mean 4.5e-8 relative low
     cfg, rho = ArrayConfig(32, 0.5), 1e-12
-    _, gains = _draw_chunk(1, 2, 0, 2000)
-    expected = np.mean(np.log1p(rho * cfg.n_tx * np.abs(gains) ** 2) / np.log(2.0))
+    _, x = _draw_chunk(1, 2, 0, 2000)
+    expected = np.mean(np.log1p(rho * cfg.n_tx * x) / np.log(2.0))
     ((est,),) = run_cell(cfg, 2, [Scheme.NO_INTERFERENCE], [rho], 2000, 1)
     assert est.mean == pytest.approx(expected, rel=1e-14, abs=0.0)
 
@@ -208,9 +209,9 @@ def test_block_cross_correlation_matches_closed_form():
 
 def test_batch_path_matches_module_operations():
     # 32x5 HBS at seed 2026 sends trials to the extended-precision chain, and
-    # the first draw of trial 39902 is singular, so it is redrawn once.  The
-    # first chunk is checked through run_monte_carlo, the chunk that holds
-    # trial 39902 through the gain stage.
+    # the first draws of trials 29735 and 29925 are singular, so each is
+    # redrawn once.  The first chunk is checked through run_monte_carlo, the
+    # chunk that holds both through the gain stage.
     cfg = ArrayConfig(32, 0.5)
     rho = 316.0
     trials = 2048
@@ -222,12 +223,12 @@ def test_batch_path_matches_module_operations():
         assert est.mean == pytest.approx(ref.mean(), abs=1e-8)
         assert est.n_resampled == 0
         assert est.n_fallback > 0 if scheme is Scheme.HBS else est.n_fallback == 0
-    start = 39902 // semetrics._CHUNK * semetrics._CHUNK
+    start = 29735 // semetrics._CHUNK * semetrics._CHUNK
     block, resampled = kernel_se(cfg, 5, Scheme.HBS, rho, 2026, start, semetrics._CHUNK)
     ref, attempts, tol = dense_se(cfg, 5, Scheme.HBS, rho, 2026, start, semetrics._CHUNK)
     assert np.all(np.abs(block - ref).max(axis=1) <= tol)
-    assert resampled == 1
-    assert [start + t for t, a in enumerate(attempts) if a] == [39902]
+    assert resampled == 2
+    assert [start + t for t, a in enumerate(attempts) if a] == [29735, 29925]
 
 
 def gram_angles(spacing):
@@ -269,14 +270,16 @@ def test_gram_matches_steering_products(n_tx, spacing):
                           gram[::-1, ::-1])
 
 
-def extended_dense_gains(cfg, aods, gains):
+def extended_dense_gains(cfg, aods, x):
     """Gains |h_k a_i|^2 from dense steering columns, accurate to float64.
 
     At n_tx = 65536 float64 phases m * zeta carry 1e-11 of rounding each, and
     an interference-limited stream's SE inherits the relative error of its
-    small off-diagonal gains (1.6e-8 b/s/Hz on trial 1 below).  So the phases
-    are formed and reduced to [-pi, pi] in extended precision, and the sums
-    over the array run in ``np.clongdouble``.
+    small off-diagonal gains (1.7e-10 b/s/Hz on trial 45 below from float64
+    steering columns, against 3.6e-11 for the kernel's float64 R).  So the
+    phases are formed and reduced to [-pi, pi] in extended precision, and the
+    sums over the array run in ``np.clongdouble``.  Each user's gain is
+    sqrt(x) with zero phase.
     """
     two_pi = 4 * np.arccos(np.longdouble(0))
     phase = (np.arange(cfg.n_tx, dtype=np.longdouble)[:, None]
@@ -284,7 +287,7 @@ def extended_dense_gains(cfg, aods, gains):
     phase -= two_pi * np.round(phase / two_pi)
     steer = np.exp(1j * phase.astype(float)).astype(np.clongdouble)
     steer /= np.sqrt(np.longdouble(cfg.n_tx))
-    h = np.sqrt(np.longdouble(cfg.n_tx)) * gains.astype(np.clongdouble)[:, None] * steer.conj().T
+    h = np.sqrt(cfg.n_tx * x.astype(np.longdouble))[:, None] * steer.conj().T
     return np.abs(h @ steer).astype(float) ** 2
 
 
@@ -292,7 +295,7 @@ def test_large_array_kernel_matches_dense_reference():
     # 64 trials of the (T, n_tx, K) steering array at n_tx = 65536 would take
     # 340 MB; the Gram kernel holds only (T, K, K) arrays.  The leakage is
     # some 1e-5 of the signal here, so the reference sums the off-diagonal
-    # gains alone: a row sum minus the diagonal is off by 1.4e-8 on trial 52.
+    # gains alone: a row sum minus the diagonal is off by 1.4e-8 on trial 43.
     cfg = ArrayConfig(65536, 0.5)
     abs_se, abs_resampled = kernel_se(cfg, 5, Scheme.ABS, 316.0, 2026, 0, 64)
     free_se, free_resampled = kernel_se(cfg, 5, Scheme.NO_INTERFERENCE, 316.0, 2026, 0, 64)
@@ -338,18 +341,20 @@ def test_hbs_kernel_matches_extended_gram_reference():
     # within 1e-9 of log2(1 + rho N |g_k|^2 / (G^{-1})_kk) from a long-double
     # Gram inverse.  Declared exceptions: the trials with cond(G) > 1e10,
     # where eps_ld * cond leaves the reference itself near 1e-9.  Among them
-    # are trials 16687 (cond 9e10) and 17472 (cond 2e14), which miss 1e-9
-    # through the extended-precision chain by 3.9e-9 and 2.3e-6.  No trial of
-    # these is redrawn: seed 2026's first singular draw at 32x5 is trial 39902.
+    # are trials 556 (cond 8e10), 8482 (4e10), 13676 (5e11) and 18990 (2e13),
+    # which miss 1e-9 through the extended-precision chain by 9.4e-9, 4.3e-9,
+    # 5.1e-8 and 4.1e-7.  No trial of these is redrawn: seed 2026's first
+    # singular draw at 32x5 is trial 29735.
     cfg = ArrayConfig(32, 0.5)
     trials, rho = 20000, 1000.0
-    aods, gains = _draw_chunk(2026, 5, 0, trials)
-    se, resampled = kernel_se(cfg, 5, Scheme.HBS, rho, 2026, 0, trials, block=(aods, gains))
+    aods, x = _draw_chunk(2026, 5, 0, trials)
+    se, resampled = kernel_se(cfg, 5, Scheme.HBS, rho, 2026, 0, trials, block=(aods, x))
     gram = extended_gram(aods, cfg)
     inv_diag = np.einsum("tkk->tk", gauss_jordan_inverse(gram)).real
-    ref = np.log2(1 + rho * cfg.n_tx * np.abs(gains.astype(np.clongdouble)) ** 2 / inv_diag)
+    ref = np.log2(1 + rho * cfg.n_tx * x.astype(np.longdouble) / inv_diag)
     declared = np.nonzero(np.linalg.cond(gram.astype(complex)) > 1e10)[0].tolist()
-    assert declared == [1362, 4702, 7197, 8876, 13562, 14207, 14792, 16687, 17472]
+    assert declared == [556, 2001, 2148, 3656, 4397, 8482, 11283, 12683, 12807, 13676, 18990,
+                        19066, 19149]
     assert resampled == 0
     err = np.abs(se - ref.astype(float)).max(axis=1)
     err[declared] = 0.0
@@ -360,13 +365,13 @@ def test_gram_inverse_residual_within_condition_bound():
     # R R^-1 - I of every trial the flag keeps is within 100 eps64 times the
     # Frobenius condition bound; 32x5 at seed 2026 flags some of the chunk.
     cfg = ArrayConfig(32, 0.5)
-    aods, gains = _draw_chunk(2026, 5, 0, 2048)
+    aods, x = _draw_chunk(2026, 5, 0, 2048)
     gram = _gram(aods, cfg)
     inv = _gram_inverse(gram.copy())
     eps = np.finfo(float).eps
     cond = np.sqrt((gram ** 2).sum(axis=(0, 1)) * (inv ** 2).sum(axis=(0, 1)))
     kept = (eps * cond <= semetrics._FORWARD_TOL) & (np.diagonal(inv) > 0).all(axis=1)
-    ((*_, flagged),) = _gain_chunk(aods, gains, cfg, [Scheme.HBS], 2026, 0)
+    ((*_, flagged),) = _gain_chunk(aods, x, cfg, [Scheme.HBS], 2026, 0)
     assert 0 < flagged == np.count_nonzero(~kept)
     residual = np.einsum("ijt,jkt->ikt", gram, inv) - np.eye(5)[..., None]
     assert (np.abs(residual).max(axis=(0, 1))[kept] <= 100 * eps * cond[kept]).all()
@@ -430,8 +435,8 @@ def test_flagged_hbs_trial_reports_zero_interference():
     # and its interference is the zero every other HBS trial gets, not the
     # chain's float64 rounding leakage.  32x5 at seed 2026 flags 27 of 4096.
     cfg = ArrayConfig(32, 0.5)
-    aods, gains = _draw_chunk(2026, 5, 0, 4096)
-    ((signal, interference, resampled, flagged),) = _gain_chunk(aods, gains, cfg,
+    aods, x = _draw_chunk(2026, 5, 0, 4096)
+    ((signal, interference, resampled, flagged),) = _gain_chunk(aods, x, cfg,
                                                                 [Scheme.HBS], 2026, 0)
     assert (flagged, resampled) == (27, 0)
     assert np.shape(interference) == () and interference == 0.0
@@ -441,7 +446,7 @@ def test_flagged_hbs_trial_reports_zero_interference():
     rows = np.nonzero(np.finfo(float).eps * cond > semetrics._FORWARD_TOL)[0]
     assert len(rows) == 27
     for t in rows:
-        h = semetrics._los(aods[t], gains[t], cfg)
+        h = semetrics._los(aods[t], x[t], cfg)
         chain = np.diagonal(np.abs(h @ hbs_beamformer_set(h, aods[t], cfg)) ** 2)
         assert signal[t].tobytes() == chain.tobytes()
 
@@ -458,7 +463,7 @@ def traced_peak(call):
 
 def test_run_holds_each_gain_once():
     # A run's traced memory grows per trial and stream by the HBS signal (8
-    # bytes) and the SE buffer (8): a chunk's draws (24) are dropped once its
+    # bytes) and the SE buffer (8): a chunk's draws (16) are dropped once its
     # gains are computed, HBS carries no zero interference array, and the
     # chunks' gains are reduced without a concatenated copy.  The peak at one
     # chunk takes out the fixed part.
@@ -478,8 +483,8 @@ def test_user_count_gains_dropped_once_reduced(monkeypatch):
     cfg = ArrayConfig(8, 0.5)
     signals, alive = [], []  # weak references to K = 2's signals; live ones per K = 5 draw
 
-    def gain_chunk(aods, gains, config, schemes, seed, start, run=semetrics._gain_chunk):
-        out = run(aods, gains, config, schemes, seed, start)
+    def gain_chunk(aods, x, config, schemes, seed, start, run=semetrics._gain_chunk):
+        out = run(aods, x, config, schemes, seed, start)
         if aods.shape[1] == 2:
             signals.extend(weakref.ref(signal) for signal, *_ in out)
         return out
@@ -497,10 +502,11 @@ def test_user_count_gains_dropped_once_reduced(monkeypatch):
 
 
 def test_philox_works_in_fixed_buffers():
-    # A round holds six (2, steps) word arrays, 96 bytes per step, and the
-    # (steps, 4) uniforms are filled after the round buffers are released.
+    # A round holds four (2, steps) word arrays, 64 bytes per step, and the
+    # (steps, 4) uniforms are filled after two of them are released, with no
+    # cast buffer.
     steps = 8192
-    assert traced_peak(lambda: channel._philox((2026, 0, 0), steps)) / steps < 120
+    assert traced_peak(lambda: channel._philox((2026, 0, 0), steps)) / steps < 72
 
 
 def test_gain_chunk_works_in_fixed_buffers():
@@ -508,8 +514,8 @@ def test_gain_chunk_works_in_fixed_buffers():
     # built before the power, summed for ABS through one row buffer and then
     # inverted in place for HBS; no squared or copied R is made.
     cfg = ArrayConfig(128, 0.5)
-    aods, gains = _draw_chunk(2026, 5, 0, semetrics._CHUNK)
-    peak = traced_peak(lambda: _gain_chunk(aods, gains, cfg, [Scheme.ABS, Scheme.HBS], 2026, 0))
+    aods, x = _draw_chunk(2026, 5, 0, semetrics._CHUNK)
+    peak = traced_peak(lambda: _gain_chunk(aods, x, cfg, [Scheme.ABS, Scheme.HBS], 2026, 0))
     assert peak / (semetrics._CHUNK * 5) < 100
 
 
@@ -546,8 +552,8 @@ def test_chunk_size_invariance(monkeypatch):
 def test_snr_grid_equals_one_point_calls(workers):
     # One simulation of every scheme reduced at every point of an unsorted
     # grid with a repeated point equals a simulation per scheme and point.
-    # 32x5 at seed 2026 with 40000 trials covers the HBS fallback and trial
-    # 39902's redraw.
+    # 32x5 at seed 2026 with 40000 trials covers the HBS fallback and the
+    # redraws of trials 29735 and 29925.
     cfg = ArrayConfig(32, 0.5)
     trials = 40000
     assert trials > semetrics._CHUNK
@@ -557,7 +563,7 @@ def test_snr_grid_equals_one_point_calls(workers):
     for scheme, estimates in zip(Scheme, grid):
         assert estimates == tuple(run_cell(cfg, 5, [scheme], [snr], trials, 2026)[0][0]
                                   for snr in snrs)
-        assert estimates[0].n_resampled == (1 if scheme is Scheme.HBS else 0)
+        assert estimates[0].n_resampled == (2 if scheme is Scheme.HBS else 0)
 
 
 @pytest.mark.parametrize("n_users", range(1, 7))
@@ -568,12 +574,12 @@ def test_draw_block_is_stacked_per_trial_draws(n_users):
     for seed, start, count in ((2026, 0, 7), (0, semetrics._CHUNK - 3, 6), (7, 10**6, 3),
                                (2**32 - 1, 1, semetrics._CHUNK + 5),
                                (2**32 - 1, 0, semetrics._CHUNK + 5)):
-        aods, gains = _draw_chunk(seed, n_users, start, count)
-        ref_aods, ref_gains = zip(*(sample_path_params(child_rng(seed, n_users, t), n_users)
-                                    for t in range(start, start + count)))
+        aods, x = _draw_chunk(seed, n_users, start, count)
+        ref_aods, ref_x = zip(*(sample_path_params(child_rng(seed, n_users, t), n_users)
+                                for t in range(start, start + count)))
         assert aods.tobytes() == np.stack(ref_aods).tobytes()
-        assert gains.tobytes() == np.stack(ref_gains).tobytes()
-        assert aods.shape == gains.shape == (count, n_users)
+        assert x.tobytes() == np.stack(ref_x).tobytes()
+        assert aods.shape == x.shape == (count, n_users)
 
 
 def test_pooled_run_equals_in_process():
@@ -591,15 +597,15 @@ def test_pooled_run_equals_in_process():
 
 def test_gain_stage_leaves_its_draws_unwritten():
     # the arrays of a user count read one chunk of draws: ABS and HBS on the
-    # 32x5 chunk that holds trial 39902, which HBS flags and redraws, leave
-    # its angles and gains as drawn
-    start = 39902 // semetrics._CHUNK * semetrics._CHUNK
-    aods, gains = _draw_chunk(2026, 5, start, semetrics._CHUNK)
-    drawn = aods.tobytes(), gains.tobytes()
-    ((*_, resampled, _),) = _gain_chunk(aods, gains, ArrayConfig(32, 0.5), [Scheme.HBS],
+    # 32x5 chunk that holds trials 29735 and 29925, which HBS flags and
+    # redraws, leave its angles and powers as drawn
+    start = 29735 // semetrics._CHUNK * semetrics._CHUNK
+    aods, x = _draw_chunk(2026, 5, start, semetrics._CHUNK)
+    drawn = aods.tobytes(), x.tobytes()
+    ((*_, resampled, _),) = _gain_chunk(aods, x, ArrayConfig(32, 0.5), [Scheme.HBS],
                                         2026, start)
-    assert resampled == 1
-    assert (aods.tobytes(), gains.tobytes()) == drawn
+    assert resampled == 2
+    assert (aods.tobytes(), x.tobytes()) == drawn
 
 
 def test_empty_snr_grid_rejected():
@@ -732,14 +738,14 @@ def test_kernel_equivariant_under_user_permutation(cell, scheme, rho, random):
     block, _ = kernel_se(cfg, n_users, scheme, rho, seed, start, count)
 
     def permuted_draw(rng, n_paths, draw=sample_path_params):
-        aods, gains = draw(rng, n_paths)
-        return aods[perm], gains[perm]
+        aods, x = draw(rng, n_paths)
+        return aods[perm], x[perm]
 
     # first attempts come from the block, redraws from sample_path_params
-    aods, gains = sample_path_params(child_rng(seed, n_users, start), n_users, count)
+    aods, x = sample_path_params(child_rng(seed, n_users, start), n_users, count)
     with mock.patch.object(semetrics, "sample_path_params", permuted_draw):
         permuted, _ = kernel_se(cfg, n_users, scheme, rho, seed, start, count,
-                                block=(aods[:, perm], gains[:, perm]))
+                                block=(aods[:, perm], x[:, perm]))
     # both sides carry the float64 forward error that dense_se allows
     _, _, tol = dense_se(cfg, n_users, scheme, rho, seed, start, count)
     assert np.all(np.abs(permuted - block[:, perm]).max(axis=1) <= 2 * tol)
