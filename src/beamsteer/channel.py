@@ -27,7 +27,8 @@ leaves a mass of 2.3e-10.
 
 Reproducibility: trial t's draws depend only on (seed, K, t, attempt), so a
 chunk of trials is one kernel call, and trials can run in any order,
-chunking or across workers with identical results.
+chunking or across workers with identical results, on one numpy build and
+SIMD target; across targets the powers' log1p can differ by an ulp.
 """
 
 from __future__ import annotations

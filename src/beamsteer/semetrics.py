@@ -1,9 +1,9 @@
 """Per-stream spectral efficiency and the Monte Carlo estimator.
 
 The estimator draws pure-LoS realizations (one path per user), builds the
-requested beamformer, and averages log2(1 + SINR) over trials and streams.
-Noise power is unity; rho is the per-user transmit SNR, so it multiplies
-both the signal and the interference terms.
+requested beamformer, and averages log2(1 + SINR) over trials and streams;
+its standard error is over trials, whose streams share one R.  Noise power
+is unity; rho is the per-user transmit SNR, so it multiplies both terms.
 
 A run passes once over (user count K, chunk) pairs.  A trial's draws
 depend only on (seed, trial, K), never on n_tx or the scheme: trial t owns a
@@ -41,9 +41,9 @@ R, of its inverse and of the sums over them covers a contiguous run of T
 trials; the schemes still give (T, K) gains.  One test flags a trial that
 inverse cannot be trusted for: a condition bound eps64 ||R||_F ||R^-1||_F
 above 5e-10, or NaN, as the zero pivot of an exactly singular R gives.  Its
-signal comes from its own n_tx-long channel rows, of gains sqrt(x_k) with
-zero phase, through the extended-precision chain ``hbs_beamformer_set``; its
-interference stays zero, as on every HBS trial.
+signal is |h_k . f_k|^2 from its own n_tx-long channel rows h, of gains
+sqrt(x_k) with zero phase, and the extended-precision chain's F =
+``hbs_beamformer_set``; its interference stays zero, as on every HBS trial.
 ``MonteCarloEstimate.n_fallback`` counts the flagged trials.  A draw that
 chain finds singular is redrawn from the trial's next resample stream: the
 same steps with the attempt 1, 2, ... in its counter words; ``n_resampled``
@@ -59,7 +59,9 @@ other input of a cell before anything is drawn.
 
 Per-trial results come from each trial's own counters and are reduced in a
 fixed order, so the estimate is bit-identical regardless of worker count,
-chunk size, execution order or the other cells of the call.
+chunk size, execution order or the other cells of the call, on one numpy
+build and SIMD target; across targets, whose float64 log1p can differ by an
+ulp, values agree to rounding, and n_resampled and n_fallback are equal.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ import enum
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -163,51 +165,55 @@ def _gram(aods, config):
     """Real Gram matrices R of the unit-norm steering columns, trials last:
     (K, K, T) from (T, K) angles, (K, K) from one trial's (K,).
 
-    R_ki = sin(N delta/2) / (N sin(delta/2)), delta = zeta_i - zeta_k, at the
-    K(K-1)/2 lags i > k, each a contiguous row of T, mirrored (sin is odd: the
-    bytes of the lag -delta).  numpy's sine reduces its argument against pi
-    exactly, so near a lag of +-2 pi both sines keep their relative accuracy
-    and the ratio does not cancel.  Where sin(delta/2) is zero the users'
-    columns coincide: R is 1.
+    R_ki = sin(N delta/2) / (N sin(delta/2)), delta = zeta_i - zeta_k, is built
+    inside R, one lag i > k at a time: the ratio in the contiguous row R[k, i],
+    its denominator (delta, then N sin(delta/2)) in the row R[i, k] until that
+    row takes the mirror (sin is odd: the bytes of the lag -delta).  numpy's
+    sine reduces its argument against pi exactly, so near a lag of +-2 pi both
+    sines keep their relative accuracy and the ratio does not cancel.  Where
+    sin(delta/2) is zero the users' columns coincide: R is 1.
     """
     n_tx = config.n_tx
+    r = np.empty(aods.shape[-1:] + aods.shape[::-1])  # made before zeta: a lower peak RSS
     zeta = phase_progression(aods.T, config)
-    n_users = len(zeta)
-    k, i = np.triu_indices(n_users, 1)
-    den = zeta[i] - zeta[k]  # delta, until it becomes n_tx sin(delta/2)
-    del zeta
-    ratio = np.multiply(n_tx, den)
-    ratio /= 2.0
-    np.sin(ratio, out=ratio)
-    den /= 2.0
-    np.sin(den, out=den)
-    den *= n_tx
-    coincident = den == 0.0
-    den[coincident] = 1.0
-    ratio /= den
-    ratio[coincident] = 1.0
-    r = np.ones((n_users,) + aods.shape[::-1])
-    r[k, i] = r[i, k] = ratio
+    r[range(len(r)), range(len(r))] = 1.0
+    for k, i in combinations(range(len(r)), 2):
+        ratio, den = r[k, i, ...], r[i, k, ...]
+        np.subtract(zeta[i], zeta[k], out=den)
+        np.multiply(n_tx, den, out=ratio)
+        ratio /= 2.0
+        np.sin(ratio, out=ratio)
+        den /= 2.0
+        np.sin(den, out=den)
+        den *= n_tx
+        coincident = den == 0.0
+        den[coincident] = 1.0
+        ratio /= den
+        ratio[coincident] = 1.0
+        den[...] = ratio
     return r
 
 
 def _gram_inverse(r):
     """Inverts trials-last (K, K, T) Gram kernels R in place and returns r, by
-    Gauss-Jordan elimination vectorised over the trials: every step works on
-    contiguous rows of T, through two (K, T) buffers, the pivot column and each
-    other row's multiple of the pivot row.  R is symmetric positive definite with
-    unit diagonal, so it needs no pivoting; an exactly singular R meets a zero
-    pivot, which leaves that trial's inverse, and no other, non-finite."""
-    col, step = np.empty(r.shape[1:]), np.empty(r.shape[1:])
+    Gauss-Jordan elimination vectorised over the trials: each step is one
+    entry's contiguous row of T, R_ji -= R_jk R_ki through one (T,) buffer, and
+    the pivot column is overwritten last, so no copy of it is kept.  R is
+    symmetric positive definite with unit diagonal, so it needs no pivoting;
+    an exactly singular R meets a zero pivot, which leaves that trial's
+    inverse, and no other, non-finite."""
+    step = np.empty(r.shape[2:])
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(len(r)):
-            col[...] = r[:, k]
-            r[:, k] = 0.0
-            r[k, k] = 1.0
-            r[k] /= col[k]
-            for j in range(len(r)):
-                if j != k:
-                    r[j] -= np.multiply(col[j], r[k], out=step)
+            rest = [i for i in range(len(r)) if i != k]
+            for i in rest:
+                r[k, i] /= r[k, k]
+            np.divide(1.0, r[k, k], out=r[k, k])
+            for j in rest:
+                for i in rest:
+                    r[j, i] -= np.multiply(r[j, k], r[k, i], out=step)
+                r[j, k] *= r[k, k]
+                np.subtract(0.0, r[j, k], out=r[j, k])  # R_jk = 0 gives +0, not -0
     return r
 
 
@@ -248,7 +254,8 @@ def _gain_chunk(aods, x, config, schemes, seed, start):
 
 
 def _hbs_chunk(aods, x, config, gram, power, seed, start):
-    """``_gain_chunk``'s HBS entry; it inverts the chunk's Gram kernels in place."""
+    """``_gain_chunk``'s HBS entry; it inverts the chunk's Gram kernels in place.
+    A flagged trial's signal is the chain's K inner products |h_k . f_k|^2."""
     n_users = aods.shape[1]
     norm = _frobenius(gram)
     inv = _gram_inverse(gram)
@@ -277,7 +284,7 @@ def _hbs_chunk(aods, x, config, gram, power, seed, start):
                 n_resampled += 1
                 continue
             # the chain's signal alone: its leakage is rounding, and HBS has none
-            signal[i] = np.diagonal(np.abs(h @ f) ** 2)
+            signal[i] = np.abs(np.einsum("kn,nk->k", h, f)) ** 2
             break
         else:
             raise ValueError(f"HBS cannot separate K = {n_users} users on n_tx = {config.n_tx} at "
@@ -374,14 +381,17 @@ def _estimates(parts, snrs):
     (signal, interference, n_resampled, n_fallback) of each chunk, in trial
     order.  Each point's SE goes chunk by chunk into one (trials, K) buffer
     made once, with one chunk-sized scratch buffer for the denominator, so no
-    concatenated copy of the gains is made."""
+    concatenated copy of the gains is made.  The mean is over trials and
+    streams; the standard error is over trials, the i.i.d. replicates (a
+    trial's streams share its R): the std(ddof=1) of the per-trial means, the
+    K SEs added in order over K, over sqrt(T), computed in the SE buffer."""
     signals, interferences, resampled, fallback = zip(*parts)
     n_resampled, n_fallback = sum(resampled), sum(fallback)
     cuts = np.cumsum([len(signal) for signal in signals])
     se = np.empty((cuts[-1], signals[0].shape[1]))
     den = np.empty((max(len(signal) for signal in signals), se.shape[1]))
     outs = [(part, den[:len(part)]) for part in np.split(se, cuts[:-1])]
-    flat, n = se.ravel(), se.size
+    trial, n = se[:, 0], len(se)  # stream 0's SEs, then the trial means of a point
     estimates = []
     for rho in snrs:
         # A finite rho can still overflow rho * N |g|^2, which gives a non-finite
@@ -393,15 +403,13 @@ def _estimates(parts, snrs):
         except FloatingPointError:
             raise ValueError(f"SE at SNR {10.0 * np.log10(rho.rho_linear):.6g} dB cannot be "
                              f"computed: rho * n_tx |g|^2 overflows float64") from None
-        mean = flat.mean()
-        # flat.std(ddof=1) from this mean, in place: the same float operations
-        flat -= mean
-        flat *= flat
-        std = np.sqrt(flat.sum() / (n - 1)) if n > 1 else 0.0
-        estimates.append(MonteCarloEstimate(
-            mean=float(mean),
-            std_error=float(std / np.sqrt(n)),
-            n_resampled=n_resampled,
-            n_fallback=n_fallback,
-        ))
+        mean = se.ravel().mean()
+        for stream in se.T[1:]:
+            trial += stream
+        trial /= se.shape[1]
+        trial -= trial.sum() / n
+        trial *= trial
+        std = np.sqrt(trial.sum() / (n - 1)) if n > 1 else 0.0
+        estimates.append(MonteCarloEstimate(float(mean), float(std / np.sqrt(n)),
+                                            n_resampled, n_fallback))
     return tuple(estimates)

@@ -1,5 +1,10 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import exp1
 
+import beamsteer
 from beamsteer import channel, semetrics
 from beamsteer.arrays import ArrayConfig, phase_progression, steering_vector
 from beamsteer.beamforming import (DegeneratePrecoder, SingularEquivalentChannel,
@@ -270,6 +276,57 @@ def test_gram_matches_steering_products(n_tx, spacing):
                           gram[::-1, ::-1])
 
 
+def lag_block_gram(aods, config):
+    """``_gram``'s float operations on (lags, T) arrays: all lags i > k at once,
+    then scattered into R and its mirror."""
+    zeta = phase_progression(aods.T, config)
+    k, i = np.triu_indices(len(zeta), 1)
+    den = zeta[i] - zeta[k]
+    ratio = np.sin(np.multiply(config.n_tx, den) / 2.0)
+    den = np.sin(den / 2.0) * config.n_tx
+    coincident = den == 0.0
+    ratio /= np.where(coincident, 1.0, den)
+    ratio[coincident] = 1.0
+    r = np.ones((len(zeta),) + zeta.shape)
+    r[k, i] = r[i, k] = ratio
+    return r
+
+
+def row_block_inverse(r):
+    """``_gram_inverse``'s float operations on whole (K, T) rows: Gauss-Jordan
+    with the pivot column zeroed, then each other row less its multiple of the
+    pivot row."""
+    r = r.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(len(r)):
+            col = r[:, k].copy()
+            r[:, k] = 0.0
+            r[k, k] = 1.0
+            r[k] /= col[k]
+            for j in range(len(r)):
+                if j != k:
+                    r[j] -= col[j] * r[k]
+    return r
+
+
+@pytest.mark.parametrize("spacing", [0.5, 1.0, 2.7])
+@pytest.mark.parametrize("n_tx", [1, 4, 32, 128, 65536])
+def test_gram_kernel_bytes_match_lag_block_reference(n_tx, spacing):
+    # Building R lag by lag inside R, and inverting it entry row by entry row,
+    # keep the float operations of the block forms, so the bytes are equal;
+    # the trials draw users from the hard lags of ``gram_angles``: coincident,
+    # mirrored, 2 pi apart and 1e-12 from either, with exactly singular R.
+    cfg = ArrayConfig(n_tx, spacing)
+    pool = gram_angles(spacing)
+    rng = np.random.default_rng(n_tx)
+    for n_users in range(1, 9):
+        aods = pool[rng.integers(len(pool), size=(64, n_users))]
+        gram = _gram(aods, cfg)
+        assert gram.tobytes() == lag_block_gram(aods, cfg).tobytes()
+        assert _gram(aods[0], cfg).tobytes() == lag_block_gram(aods[0], cfg).tobytes()
+        assert _gram_inverse(gram.copy()).tobytes() == row_block_inverse(gram).tobytes()
+
+
 def extended_dense_gains(cfg, aods, x):
     """Gains |h_k a_i|^2 from dense steering columns, accurate to float64.
 
@@ -431,9 +488,11 @@ def test_fallback_count_at_seed_2026(n_tx, n_fallback):
 
 def test_flagged_hbs_trial_reports_zero_interference():
     # HBS has one model on both paths: a trial the condition bound sends to
-    # the extended-precision chain takes the chain's signal |h_k f_k|^2 alone,
-    # and its interference is the zero every other HBS trial gets, not the
-    # chain's float64 rounding leakage.  32x5 at seed 2026 flags 27 of 4096.
+    # the extended-precision chain takes the chain's signal |h_k . f_k|^2
+    # alone, the K per-stream inner products, and its interference is the zero
+    # every other HBS trial gets, not the chain's float64 rounding leakage.
+    # The diagonal of the full product h f agrees to rounding.  32x5 at seed
+    # 2026 flags 27 of 4096.
     cfg = ArrayConfig(32, 0.5)
     aods, x = _draw_chunk(2026, 5, 0, 4096)
     ((signal, interference, resampled, flagged),) = _gain_chunk(aods, x, cfg,
@@ -447,8 +506,14 @@ def test_flagged_hbs_trial_reports_zero_interference():
     assert len(rows) == 27
     for t in rows:
         h = semetrics._los(aods[t], x[t], cfg)
-        chain = np.diagonal(np.abs(h @ hbs_beamformer_set(h, aods[t], cfg)) ** 2)
+        f = hbs_beamformer_set(h, aods[t], cfg)
+        # each h_k . f_k summed in order of the antennas
+        chain = np.abs([sum(h[k, n] * f[n, k] for n in range(cfg.n_tx)) for k in range(5)]) ** 2
         assert signal[t].tobytes() == chain.tobytes()
+        # relative to N x_k = |h_k|^2 |f_k|^2, the scale of both products'
+        # rounding: a flagged signal N x_k / (R^-1)_kk is far below it
+        dense = np.diagonal(np.abs(h @ f) ** 2)
+        assert (np.abs(signal[t] - dense) <= 1e-14 * cfg.n_tx * x[t]).all()
 
 
 def traced_peak(call):
@@ -519,9 +584,28 @@ def test_gain_chunk_works_in_fixed_buffers():
     assert peak / (semetrics._CHUNK * 5) < 100
 
 
+def test_gram_builds_r_in_place():
+    # R (40 bytes per trial and stream at K = 5) is the only (K, K, T) array:
+    # each lag's ratio and denominator are computed in R's own rows, beside
+    # the (K, T) phases and their sines (8 bytes each); no (lags, T) array of
+    # sines is made.
+    cfg = ArrayConfig(128, 0.5)
+    aods, _ = _draw_chunk(2026, 5, 0, semetrics._CHUNK)
+    assert traced_peak(lambda: _gram(aods, cfg)) / (semetrics._CHUNK * 5) < 60
+
+
+def test_gram_inverse_eliminates_through_row_buffers():
+    # The elimination works on R in place through one (T,) buffer, 1.6 bytes
+    # per trial and stream at K = 5, with no (K, T) copy of a pivot column.
+    cfg = ArrayConfig(128, 0.5)
+    gram = _gram(_draw_chunk(2026, 5, 0, semetrics._CHUNK)[0], cfg)
+    assert traced_peak(lambda: _gram_inverse(gram)) / (semetrics._CHUNK * 5) < 4
+
+
 def test_estimates_hold_one_se_buffer():
     # The reduction's traced peak grows per trial and stream by its one SE
-    # buffer (8 bytes); the denominator's scratch buffer is one chunk long.
+    # buffer (8 bytes), whose first column then takes the per-trial means;
+    # the denominator's scratch buffer is one chunk long.
     rng = np.random.default_rng(5)
     part = (rng.random((semetrics._CHUNK, 5)), rng.random((semetrics._CHUNK, 5)), 0, 0)
     snrs = [SnrPoint(1.0), SnrPoint(1000.0)]
@@ -672,10 +756,53 @@ def test_estimate_fields():
     assert isinstance(est, MonteCarloEstimate)
     assert est.n_resampled == 0
     assert est.std_error > 0
-    # the in-place reduction makes the float operations of numpy's mean and std
+    # the in-place reduction makes the float operations of numpy's mean and
+    # std: the mean over trials and streams, the standard error over trials,
+    # from the per-trial means of the streams, whose R the streams share
     se, _ = kernel_se(ArrayConfig(4), 2, Scheme.ABS, 10.0, 1, 0, 300)
     assert est.mean == se.mean()
-    assert est.std_error == se.std(ddof=1) / np.sqrt(se.size)
+    assert est.std_error == se.mean(axis=1).std(ddof=1) / np.sqrt(len(se))
+
+
+AVX512_TARGETS = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+
+
+def test_estimates_agree_across_simd_targets():
+    # The output contract across SIMD targets: bytes are a function of the
+    # inputs on one numpy build and one SIMD target.  A run with numpy's
+    # AVX-512 dispatch disabled (its float64 log1p differs by an ulp on some
+    # inputs) gives the same counts and every se_mean within 1e-14 relative.
+    # 32x5 at seed 2026 flags 27 of 4096 HBS trials, so a flag that flipped
+    # on a 1-ulp change in the draws would show in n_fallback.
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        pytest.skip("numpy exposes no runtime CPU feature table")
+    if not any(__cpu_features__.get(name) for name in AVX512_TARGETS):
+        pytest.skip(f"host has none of the dispatch targets {', '.join(AVX512_TARGETS)}")
+    code = ("import json, sys\n"
+            "from numpy._core._multiarray_umath import __cpu_features__ as cpu\n"
+            "from beamsteer.arrays import ArrayConfig\n"
+            "from beamsteer.semetrics import Scheme, run_monte_carlo\n"
+            "(cell,) = run_monte_carlo([(5, ArrayConfig(32, 0.5), (Scheme.ABS, Scheme.HBS),\n"
+            "                            [1.0, 1000.0])], 4096, 2026)\n"
+            f"json.dump([[cpu.get(n) for n in {AVX512_TARGETS!r}],\n"
+            "           [[e.mean, e.n_resampled, e.n_fallback] for es in cell for e in es]],\n"
+            "          sys.stdout)\n")
+    src = str(Path(beamsteer.__file__).resolve().parents[1])
+    runs = []
+    for disabled in ("", " ".join(AVX512_TARGETS)):
+        env = dict(os.environ, PYTHONPATH=src, NPY_DISABLE_CPU_FEATURES=disabled)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    (default_cpu, default), (avx2_cpu, avx2) = runs
+    assert any(default_cpu) and not any(avx2_cpu)
+    assert [counts for _, *counts in default] == [counts for _, *counts in avx2]
+    assert [fallback for *_, fallback in default] == [0, 0, 27, 27]
+    for (mean, *_), (other, *_) in zip(default, avx2):
+        assert abs(mean - other) <= 1e-14 * abs(mean)
 
 
 def test_invalid_parameters():
