@@ -1,9 +1,9 @@
 """Command-line experiment runner.
 
-Subcommands: sweep, validate, bounds, figure1..figure4.  Results are
-written as CSV (header ``snr_db,n_tx,n_beams,label,se_mean,se_stderr,
-n_resampled``); ``validate`` prints a gap table and exits nonzero on
-failure.
+Subcommands: sweep, validate, bounds and figure1..figure4, the sweeps of
+``experiment.FIGURES``.  Results are written as CSV (header ``snr_db,n_tx,
+n_beams,label,se_mean,se_stderr,n_resampled``); ``validate`` prints a gap
+table and exits nonzero on failure.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure.
 """
@@ -15,8 +15,8 @@ import math
 import sys
 
 from .arrays import ArrayConfig
-from .experiment import (DEFAULT_SEED, DEFAULT_SNR_GRID, DEFAULT_TRIALS,
-                         ExperimentConfig, bound_rows, format_validation_report,
+from .experiment import (DEFAULT_SEED, DEFAULT_SNR_GRID, DEFAULT_TRIALS, FIGURE_SPACING,
+                         FIGURES, ExperimentConfig, bound_rows, format_validation_report,
                          run_sweep, run_validation, rows_to_csv, write_csv)
 from .semetrics import Scheme
 
@@ -95,16 +95,6 @@ def positive_int(text: str) -> int:
 def parse_positive_int_list(spec: str):
     return parse_int_list(spec, positive_int)
 
-
-# The figure commands: each is the sweep of its --ntx, --nbeams and --schemes,
-# at spacing 0.5 with bound rows; N_RF = K = N_b.
-FIGURES = {
-    "figure1": {"ntx": (16, 32, 128), "nbeams": (2,), "schemes": (Scheme.ABS,)},
-    "figure2": {"ntx": (16, 32, 128), "nbeams": (2,),
-                "schemes": (Scheme.HBS, Scheme.NO_INTERFERENCE)},
-    "figure3": {"ntx": (32,), "nbeams": (2, 3, 5), "schemes": (Scheme.ABS, Scheme.HBS)},
-    "figure4": {"ntx": (128,), "nbeams": (5,), "schemes": (Scheme.ABS, Scheme.HBS)},
-}
 
 # Keys a sweep config file may set, one per sweep flag.
 CONFIG_KEYS = ("ntx", "nbeams", "snr_db", "trials", "seed", "spacing", "schemes")
@@ -206,7 +196,7 @@ COMMANDS = {
     "validate": ("check simulation-vs-bound gaps", _RUN, {"run": _run_validate}),
     "bounds": ("closed-form bounds only, no simulation", _GRID + ("--out",), {"run": _run_bounds}),
     **{name: (f"reproduce the {name} scenario", ("--snr-db",) + _RUN + ("--out",),
-              {"run": _run_sweep, "spacing": 0.5, "no_bounds": False, **preset})
+              {"run": _run_sweep, "spacing": FIGURE_SPACING, "no_bounds": False, **preset})
        for name, preset in FIGURES.items()},
 }
 

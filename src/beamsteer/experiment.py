@@ -1,4 +1,5 @@
-"""Experiment sweeps, CSV output, and bound-vs-simulation validation checks."""
+"""Experiment sweeps, CSV output, and bound-vs-simulation validation checks
+of the paper's four figures, whose one table is ``FIGURES``."""
 
 from __future__ import annotations
 
@@ -19,6 +20,16 @@ DEFAULT_SNR_GRID = tuple(float(x) for x in range(-10, 31, 5))
 
 ABS_SATURATION_LABEL = "AbsSaturationBound"
 HBS_APPROX_LABEL = "HbsApproxBound"
+
+# The paper's figures: each is a sweep at FIGURE_SPACING with bound rows; N_RF = K = N_b.
+FIGURE_SPACING = 0.5
+FIGURES = {
+    "figure1": {"ntx": (16, 32, 128), "nbeams": (2,), "schemes": (Scheme.ABS,)},
+    "figure2": {"ntx": (16, 32, 128), "nbeams": (2,),
+                "schemes": (Scheme.HBS, Scheme.NO_INTERFERENCE)},
+    "figure3": {"ntx": (32,), "nbeams": (2, 3, 5), "schemes": (Scheme.ABS, Scheme.HBS)},
+    "figure4": {"ntx": (128,), "nbeams": (5,), "schemes": (Scheme.ABS, Scheme.HBS)},
+}
 
 
 @dataclass(frozen=True)
@@ -141,24 +152,23 @@ class ValidationCheck:
 def run_validation(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
                    workers: int = 1):
     """Measure the simulation-vs-bound gaps of the four figure scenarios at
-    rho = 30 dB and compare them against their expected windows.  Each
-    (n_tx, n_beams, scheme) gap is to the bound row a sweep of its cell prints."""
-    both = (Scheme.ABS, Scheme.HBS)
-    # (n_beams, n_tx, schemes, SNRs in dB) of every array, simulated by one
-    # run_monte_carlo call.  An HBS estimate at 25 dB goes unused.
-    cells = [(2, n_tx, both, (30.0, 25.0)) for n_tx in (16, 32, 128)]
-    cells += [(3, 32, (Scheme.ABS,), (30.0,)), (5, 32, both, (30.0,)), (5, 128, both, (30.0,))]
+    rho = 30 dB against their windows, from one run of each array of ``FIGURES``
+    at 30 and 25 dB with the schemes of every figure that prints it."""
+    arrays = {}  # (n_beams, n_tx) -> the schemes of every figure printing it
+    for fig in FIGURES.values():
+        for key in ((n_beams, n_tx) for n_beams in fig["nbeams"] for n_tx in fig["ntx"]):
+            arrays[key] = tuple(dict.fromkeys(arrays.get(key, ()) + fig["schemes"]))
     estimates = run_monte_carlo(
-        [(n_beams, ArrayConfig(n_tx=n_tx, spacing=0.5), schemes,
-          [SnrPoint.from_db(x) for x in snr_dbs]) for n_beams, n_tx, schemes, snr_dbs in cells],
-        trials, seed, workers)
-    gap, flatness = {}, {}  # |SE - bound| at 30 dB; K = 2 ABS's |SE30 - SE25| by n_tx
-    for (n_beams, n_tx, schemes, _), cell in zip(cells, estimates):
-        for scheme, (at30, *at25) in zip(schemes, cell):
-            (bound,) = bound_rows(n_tx, n_beams, 0.5, (30.0,), (scheme,))
+        [(n_beams, ArrayConfig(n_tx=n_tx, spacing=FIGURE_SPACING), schemes,
+          [SnrPoint.from_db(30.0), SnrPoint.from_db(25.0)])
+         for (n_beams, n_tx), schemes in arrays.items()], trials, seed, workers)
+    gap, flatness = {}, {}  # by (n_tx, n_beams, scheme): |SE - bound| at 30 dB, |SE30 - SE25|
+    for ((n_beams, n_tx), schemes), cell in zip(arrays.items(), estimates):
+        saturation, approx = bound_rows(n_tx, n_beams, FIGURE_SPACING, (30.0,), schemes)
+        for scheme, (at30, at25) in zip(schemes, cell):
+            bound = saturation if scheme is Scheme.ABS else approx
             gap[n_tx, n_beams, scheme] = abs(at30.mean - bound.se_mean)
-            if at25 and scheme is Scheme.ABS:
-                flatness[n_tx] = abs(at30.mean - at25[0].mean)
+            flatness[n_tx, n_beams, scheme] = abs(at30.mean - at25.mean)
     name = {Scheme.ABS: "ABS gap to saturation", Scheme.HBS: "HBS gap to approx"}
     checks = []
 
@@ -167,7 +177,7 @@ def run_validation(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
         checks.append(ValidationCheck("figure1", f"{name[Scheme.ABS]}, n_tx={n_tx}",
                                       gap[n_tx, 2, Scheme.ABS], 0.0, 0.2))
         checks.append(ValidationCheck("figure1", f"ABS flatness 25->30 dB, n_tx={n_tx}",
-                                      flatness[n_tx], 0.0, 0.05))
+                                      flatness[n_tx, 2, Scheme.ABS], 0.0, 0.05))
 
     # Figure 2: hybrid vs Log-Rayleigh approximation, K = 2.
     for n_tx, (lo, hi) in {16: (0.15, 0.45), 32: (0.05, 0.35), 128: (0.0, 0.1)}.items():

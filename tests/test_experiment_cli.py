@@ -16,8 +16,8 @@ from beamsteer.arrays import ArrayConfig
 from beamsteer.cli import (CONFIG_KEYS, SNR_GRID_MAX, UsageError, build_parser,
                            load_config_file, main, parse_int_list, parse_schemes,
                            parse_snr_spec)
-from beamsteer.experiment import (ABS_SATURATION_LABEL, CSV_HEADER,
-                                  ExperimentConfig, ValidationCheck, bound_rows,
+from beamsteer.experiment import (ABS_SATURATION_LABEL, CSV_HEADER, HBS_APPROX_LABEL,
+                                  ExperimentConfig, ValidationCheck,
                                   format_validation_report, rows_to_csv,
                                   run_sweep, run_validation)
 from beamsteer.semetrics import Scheme, SnrPoint, run_monte_carlo
@@ -675,7 +675,8 @@ def test_sweep_equals_per_cell_calls(monkeypatch, workers):
 
 def test_validation_equals_per_cell_calls(monkeypatch):
     # one run_monte_carlo call draws each chunk of K = 2, 3 and 5 once, and
-    # six array cells simulate the eleven (n_tx, scheme) pairs
+    # six array cells, one per (K, n_tx) of the figures, simulate fifteen
+    # (n_tx, scheme) pairs
     drawn, runs = [], []
 
     def draw(seed, n_users, start, count, draw=semetrics._draw_chunk):
@@ -693,33 +694,33 @@ def test_validation_equals_per_cell_calls(monkeypatch):
     assert drawn == [(2, 0, 300), (3, 0, 300), (5, 0, 300)]
     ((cells, estimates),) = runs
     assert len(cells) == len(estimates) == 6
-    assert sum(len(schemes) for _, _, schemes, _ in cells) == 11
+    assert sum(len(schemes) for _, _, schemes, _ in cells) == 15
     for (n_users, config, schemes, snrs), cell in zip(cells, estimates):
         for scheme, scheme_estimates in zip(schemes, cell):
             assert (scheme_estimates,) == run_cell(config, n_users, [scheme], snrs, 300, 9)
 
 
 def test_validation_gaps_are_to_the_bound_rows_a_sweep_prints(monkeypatch):
-    # each (n_tx, n_beams, scheme) gap is |mean SE at 30 dB - the bound row a
-    # sweep of that cell prints|, measured once: 6 ABS and 5 HBS bound calls
+    # each check reads the rows of the figure it names, as its sweep prints
+    # them at 25 and 30 dB: a gap is |mean SE at 30 dB - its bound row|, and
+    # each array's bound rows are computed once, 6 saturation and 6 approx
+    rows = {}  # (figure, snr_db, n_tx, n_beams, label) -> se_mean
+    for figure, entry in experiment.FIGURES.items():
+        cfg = ExperimentConfig(n_tx_list=entry["ntx"], n_beams_list=entry["nbeams"],
+                               snr_db_grid=(25.0, 30.0), trials=300, seed=9,
+                               spacing=experiment.FIGURE_SPACING, schemes=entry["schemes"])
+        for r in run_sweep(cfg):
+            rows[figure, r.snr_db, r.n_tx, r.n_beams, r.label] = r.se_mean
     abs_, hbs = Scheme.ABS, Scheme.HBS
-    se = {}  # (n_tx, n_beams, scheme) -> mean SE at each SNR point of the cell
-    for n_tx, n_beams, schemes, snr_dbs in [
-            (16, 2, (abs_, hbs), (30.0, 25.0)), (32, 2, (abs_, hbs), (30.0, 25.0)),
-            (128, 2, (abs_, hbs), (30.0, 25.0)), (32, 3, (abs_,), (30.0,)),
-            (32, 5, (abs_, hbs), (30.0,)), (128, 5, (abs_, hbs), (30.0,))]:
-        estimates = run_cell(ArrayConfig(n_tx, 0.5), n_beams, schemes,
-                             [SnrPoint.from_db(x) for x in snr_dbs], 300, 9)
-        for scheme, scheme_estimates in zip(schemes, estimates):
-            se[n_tx, n_beams, scheme] = [e.mean for e in scheme_estimates]
 
-    def gap(n_tx, n_beams, scheme):
-        (row,) = bound_rows(n_tx, n_beams, 0.5, (30.0,), (scheme,))
-        return abs(se[n_tx, n_beams, scheme][0] - row.se_mean)
+    def gap(figure, n_tx, n_beams, scheme):
+        snr_db, label = ((None, ABS_SATURATION_LABEL) if scheme is abs_
+                         else (30.0, HBS_APPROX_LABEL))
+        return abs(rows[figure, 30.0, n_tx, n_beams, scheme.value]
+                   - rows[figure, snr_db, n_tx, n_beams, label])
 
     def flatness(n_tx):
-        se30, se25 = se[n_tx, 2, abs_]
-        return abs(se30 - se25)
+        return abs(rows["figure1", 30.0, n_tx, 2, "ABS"] - rows["figure1", 25.0, n_tx, 2, "ABS"])
 
     calls = dict.fromkeys(["abs_saturation_bound", "hbs_se_approx"], 0)
     for name in calls:
@@ -728,25 +729,27 @@ def test_validation_gaps_are_to_the_bound_rows_a_sweep_prints(monkeypatch):
             return bound(*args)
         monkeypatch.setattr(experiment, name, counted)
     checks = run_validation(trials=300, seed=9)
-    assert calls == {"abs_saturation_bound": 6, "hbs_se_approx": 5}
+    assert calls == {"abs_saturation_bound": 6, "hbs_se_approx": 6}
 
     expected = [
-        ("figure1", "ABS gap to saturation, n_tx=16", 0.0, 0.2, gap(16, 2, abs_)),
+        ("figure1", "ABS gap to saturation, n_tx=16", 0.0, 0.2, gap("figure1", 16, 2, abs_)),
         ("figure1", "ABS flatness 25->30 dB, n_tx=16", 0.0, 0.05, flatness(16)),
-        ("figure1", "ABS gap to saturation, n_tx=32", 0.0, 0.2, gap(32, 2, abs_)),
+        ("figure1", "ABS gap to saturation, n_tx=32", 0.0, 0.2, gap("figure1", 32, 2, abs_)),
         ("figure1", "ABS flatness 25->30 dB, n_tx=32", 0.0, 0.05, flatness(32)),
-        ("figure1", "ABS gap to saturation, n_tx=128", 0.0, 0.2, gap(128, 2, abs_)),
+        ("figure1", "ABS gap to saturation, n_tx=128", 0.0, 0.2, gap("figure1", 128, 2, abs_)),
         ("figure1", "ABS flatness 25->30 dB, n_tx=128", 0.0, 0.05, flatness(128)),
-        ("figure2", "HBS gap to approx, n_tx=16", 0.15, 0.45, gap(16, 2, hbs)),
-        ("figure2", "HBS gap to approx, n_tx=32", 0.05, 0.35, gap(32, 2, hbs)),
-        ("figure2", "HBS gap to approx, n_tx=128", 0.0, 0.1, gap(128, 2, hbs)),
-        ("figure3", "ABS gap to saturation, n_beams=3", 0.0, 0.2, gap(32, 3, abs_)),
-        ("figure3", "ABS gap to saturation, n_beams=5", 0.05, 0.25, gap(32, 5, abs_)),
-        ("figure3", "HBS gap to approx, n_beams=5", 0.7, 1.3, gap(32, 5, hbs)),
-        ("figure4", "HBS gap to approx", 0.05, 0.35, gap(128, 5, hbs)),
-        ("figure4", "HBS gap shrinks vs n_tx=32", 0.0, gap(32, 5, hbs), gap(128, 5, hbs)),
-        ("figure4", "ABS gap to saturation", 0.0, 0.2, gap(128, 5, abs_)),
-        ("figure4", "ABS gap shrinks vs n_tx=32", 0.0, gap(32, 5, abs_), gap(128, 5, abs_))]
+        ("figure2", "HBS gap to approx, n_tx=16", 0.15, 0.45, gap("figure2", 16, 2, hbs)),
+        ("figure2", "HBS gap to approx, n_tx=32", 0.05, 0.35, gap("figure2", 32, 2, hbs)),
+        ("figure2", "HBS gap to approx, n_tx=128", 0.0, 0.1, gap("figure2", 128, 2, hbs)),
+        ("figure3", "ABS gap to saturation, n_beams=3", 0.0, 0.2, gap("figure3", 32, 3, abs_)),
+        ("figure3", "ABS gap to saturation, n_beams=5", 0.05, 0.25, gap("figure3", 32, 5, abs_)),
+        ("figure3", "HBS gap to approx, n_beams=5", 0.7, 1.3, gap("figure3", 32, 5, hbs)),
+        ("figure4", "HBS gap to approx", 0.05, 0.35, gap("figure4", 128, 5, hbs)),
+        ("figure4", "HBS gap shrinks vs n_tx=32", 0.0, gap("figure3", 32, 5, hbs),
+         gap("figure4", 128, 5, hbs)),
+        ("figure4", "ABS gap to saturation", 0.0, 0.2, gap("figure4", 128, 5, abs_)),
+        ("figure4", "ABS gap shrinks vs n_tx=32", 0.0, gap("figure3", 32, 5, abs_),
+         gap("figure4", 128, 5, abs_))]
     assert [(c.figure, c.name, c.lo, c.hi, c.measured) for c in checks] == expected
     # a shrink check's ceiling is the measured gap of its figure-3 check
     measured = {(c.figure, c.name): c.measured for c in checks}
