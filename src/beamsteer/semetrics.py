@@ -5,23 +5,23 @@ requested beamformer, and averages log2(1 + SINR) over trials and streams;
 its standard error is over trials, whose streams share one R.  Noise power
 is unity; rho is the per-user transmit SNR, so it multiplies both terms.
 
-A run passes once over (user count K, chunk) pairs.  A trial's draws
-depend only on (seed, trial, K), never on n_tx or the scheme: trial t owns a
-fixed stretch of counters of the Philox stream keyed by the seed (the layout
-is in ``channel``), so a chunk of trials [s, s + count) is one
+A run passes once over (user count K, chunk) pairs.  A trial's draws depend
+only on (seed, trial, K), never on n_tx or the scheme: trial t owns a fixed
+stretch of counters of the Philox stream keyed by the seed (the layout is in
+``channel``), so a chunk of trials [s, s + count) is one
 ``sample_path_params(child_rng(seed, K, s), K, count)`` call, which any
 process can make in any order.  ``run_monte_carlo`` takes every cell (user
 count, array, schemes, SNR points) of a command, draws each chunk of each K
-once, with ``_draw_chunk``, and runs the gain stage of that chunk on every
-array of its K, with ``_gain_chunk``.  Once the last chunk of a K is in, its
-cells are reduced and their gains dropped.  With workers, chunk j runs in
-the calling process when j % P == 0 and otherwise in one process pool of
-P - 1 workers, P the worker count capped by the chunk and CPU counts.
-The gain stage turns a chunk into each scheme's per-stream signal
-|h_k f_k|^2 and interference sum_{i != k} |h_k f_i|^2 on one array: a
-(count, K) signal per chunk, and a (count, K) interference for ABS alone;
-HBS and NoInterference carry the scalar 0.0.  A chunk's Gram kernel is
-computed once for all the schemes that read it.
+once, with ``_draw_chunk``, runs the gain stage of that chunk on every array
+of its K, with ``_gain_chunk``, and reduces each scheme's gains to per-trial
+means, which ``_fold`` adds to running sums per (cell, scheme, point) in trial
+order.  No gains or means outlive their chunk.  With workers, chunk j runs in
+the calling process when j % P == 0 and otherwise in one process pool of P - 1
+workers, P the worker count capped by the chunk and CPU counts.  The gain
+stage turns a chunk into each scheme's per-stream signal |h_k f_k|^2 and
+interference sum_{i != k} |h_k f_i|^2 on one array: a (K, count) signal, and a
+(K, count) interference for ABS alone; HBS and NoInterference carry the scalar
+0.0.  A chunk's Gram kernel is computed once for all the schemes that read it.
 
 The gain stage is rho-free and works on K x K arrays alone.  In the pure-LoS
 model a trial's equivalent channel is H_hat = sqrt(N) diag(g) G, with G =
@@ -38,8 +38,8 @@ normalization) has the signal N x_k / (R^-1)_kk and no interference, from
 one real float64 inverse per chunk, ``_gram_inverse``.  The kernel runs
 trials last: a chunk's R is one (K, K, T) array, so every elementwise step of
 R, of its inverse and of the sums over them covers a contiguous run of T
-trials; the schemes still give (T, K) gains.  One test flags a trial that
-inverse cannot be trusted for: a condition bound eps64 ||R||_F ||R^-1||_F
+trials, as do the (K, T) gains, so no product mixes layouts.  A trial is
+flagged if its inverse is untrusted: a condition bound eps64 ||R||_F ||R^-1||_F
 above 5e-10, or NaN, as the zero pivot of an exactly singular R gives.  Its
 signal is |h_k . f_k|^2 from its own n_tx-long channel rows h, of gains
 sqrt(x_k) with zero phase, and the extended-precision chain's F =
@@ -50,16 +50,15 @@ same steps with the attempt 1, 2, ... in its counter words; ``n_resampled``
 counts the redraws.  The redraw stays local to the cell: the chunk's draws,
 which the other arrays of its K read, are never written.  SNR enters only in
 the SE reduction ``se_from_gains``, so one simulation serves a whole SNR
-grid; at each point a scheme's chunks are reduced in place, straight into
-one (trials, K) SE array made once, with a chunk-sized scratch array for the
-denominator and no concatenated copy of the gains.
-An SNR point is an ``SnrPoint``, one linear value that its
+grid; at each point a chunk's SE goes through one buffer of its gains' size
+(two with ABS's denominator), and each trial's K streams are averaged in
+order.  An SNR point is an ``SnrPoint``, one linear value that its
 constructor checks to be finite and positive; ``check_cell`` checks every
 other input of a cell before anything is drawn.
 
-Per-trial results come from each trial's own counters and are reduced in a
-fixed order, so the estimate is bit-identical regardless of worker count,
-chunk size, execution order or the other cells of the call, on one numpy
+Per-trial results come from each trial's own counters and are summed in one
+sequential pass in trial order, so the estimate is bit-identical regardless
+of worker count, chunk size, execution order or the other cells, on one numpy
 build and SIMD target; across targets, whose float64 log1p can differ by an
 ulp, values agree to rounding, and n_resampled and n_fallback are equal.
 """
@@ -126,14 +125,14 @@ class MonteCarloEstimate:
 
 def se_from_gains(signal, interference, rho_lin: float, out=None) -> np.ndarray:
     """Per-stream SE log2(1 + SINR), bits/s/Hz, from |h_k f_k|^2 and
-    sum_{i != k} |h_k f_i|^2, (..., K) arrays or scalars that broadcast:
-    SINR = rho s / (rho i + 1), through log1p, which keeps the digits of a
-    small SINR that 1 + SINR loses.  ``out``, a pair of float arrays of the
-    broadcast shape, takes the SE and the denominator, so that a caller that
-    reduces many SNR points makes no new array; by default they are new.  A
-    scalar zero interference needs no denominator: x / 1.0 == x."""
-    shape = np.broadcast_shapes(np.shape(signal), np.shape(interference))
-    se, den = out or (np.empty(shape), None)
+    sum_{i != k} |h_k f_i|^2, arrays or scalars that broadcast: SINR =
+    rho s / (rho i + 1), through log1p, which keeps the digits of a small SINR
+    that 1 + SINR loses.  ``out``, a pair of float arrays of the broadcast
+    shape, takes the SE and the denominator, so that a caller that reduces
+    many SNR points makes no new array; by default they are new.  A scalar
+    zero interference needs no denominator (x / 1.0 == x): it may be None."""
+    se, den = out or (np.empty(np.broadcast_shapes(np.shape(signal), np.shape(interference))),
+                      None)
     np.multiply(rho_lin, signal, out=se)
     if np.ndim(interference) or interference:
         den = np.multiply(rho_lin, interference, out=den)
@@ -144,15 +143,16 @@ def se_from_gains(signal, interference, rho_lin: float, out=None) -> np.ndarray:
     return se
 
 
-def _off_diagonal_sums(r):
-    """ABS interference: each row's sum over i != k of the kernel's (K, K, T)
-    R_ki^2, each term a contiguous row of T squared into one (T,) buffer and
-    added in order of i, as ``m.sum(axis=1)`` adds a squared copy m; the row
-    sum minus 1 would cancel the digits of a leakage far below it."""
+def _abs_interference(r, power):
+    """ABS interference of the (K, K, T) kernel R: the (K, T) power times each
+    row's sum over i != k of R_ki^2, each term a contiguous row of T squared
+    into one (T,) buffer and added in order of i, as ``m.sum(axis=1)`` adds a
+    squared copy m, then scaled in place; the row sum minus 1 would cancel the
+    digits of a leakage far below it."""
     sums, square = np.zeros(r.shape[1:]), np.empty(r.shape[2:])
     for k, i in permutations(range(len(r)), 2):
         sums[k] += np.multiply(r[k, i], r[k, i], out=square)
-    return sums
+    return np.multiply(sums, power, out=sums)
 
 
 def _los(aods, x, config):
@@ -235,17 +235,18 @@ def _draw_chunk(seed, n_users, start, count):
 
 def _gain_chunk(aods, x, config, schemes, seed, start):
     """Gain stage on trials [start, start + len(aods)) of ``seed``, drawn as
-    (aods, x): per scheme, their (count, K) signal, their interference,
-    (count, K) for ABS and the scalar 0.0 for HBS and NoInterference, the
+    (aods, x): per scheme, their (K, count) signal, their interference,
+    (K, count) for ABS and the scalar 0.0 for HBS and NoInterference, the
     number of resampled draws and the number of extended-precision trials.
     The Gram kernel R is computed once for the schemes that read it; HBS
     inverts it in place, so it runs after ABS, whatever the order given."""
     gram = _gram(aods, config) if {Scheme.ABS, Scheme.HBS} & set(schemes) else None
-    power = config.n_tx * x
+    power = np.ascontiguousarray(x.T)
+    power *= config.n_tx
     out = {}
     for scheme in sorted(schemes, key=lambda s: s is Scheme.HBS):
         if scheme is Scheme.ABS:
-            out[scheme] = (power, power * _off_diagonal_sums(gram).T, 0, 0)
+            out[scheme] = (power, _abs_interference(gram, power), 0, 0)
         elif scheme is Scheme.HBS:
             out[scheme] = _hbs_chunk(aods, x, config, gram, power, seed, start)
         else:
@@ -266,8 +267,10 @@ def _hbs_chunk(aods, x, config, gram, power, seed, start):
     # non-finite diagonal entry comes only with a bound far above it, or NaN.
     cond = norm * _frobenius(inv)
     flagged = np.nonzero(~(_EPS64 * cond <= _FORWARD_TOL))[0]
+    signal = np.empty_like(power)
     with np.errstate(invalid="ignore", divide="ignore"):
-        signal = power / np.diagonal(inv)
+        for k in range(n_users):  # row by row: the diagonal of inv is no contiguous block
+            np.divide(power[k], inv[k, k], out=signal[k])
 
     n_resampled = 0
     for i in flagged:
@@ -284,7 +287,7 @@ def _hbs_chunk(aods, x, config, gram, power, seed, start):
                 n_resampled += 1
                 continue
             # the chain's signal alone: its leakage is rounding, and HBS has none
-            signal[i] = np.abs(np.einsum("kn,nk->k", h, f)) ** 2
+            signal[:, i] = np.abs(np.einsum("kn,nk->k", h, f)) ** 2
             break
         else:
             raise ValueError(f"HBS cannot separate K = {n_users} users on n_tx = {config.n_tx} at "
@@ -321,10 +324,36 @@ def _cpus():
 
 
 def _chunk_job(seed, n_users, start, count, arrays):
-    """Trials [start, start + count) of one user count, drawn once: the gain
-    stage result of ``_gain_chunk`` on each (config, schemes) of ``arrays``."""
+    """Trials [start, start + count) of one user count, drawn once, on each
+    (config, schemes, snrs) of ``arrays``: lazily, per array and scheme in
+    order, ``_trial_means`` of its gains, n_resampled and n_fallback."""
     aods, x = _draw_chunk(seed, n_users, start, count)
-    return [_gain_chunk(aods, x, config, schemes, seed, start) for config, schemes in arrays]
+    return ((_trial_means(*gains, snrs), resampled, fallback) for config, schemes, snrs in arrays
+            for *gains, resampled, fallback in _gain_chunk(aods, x, config, schemes, seed, start))
+
+
+def _pooled_job(*job):
+    return list(_chunk_job(*job))  # a pool worker sends the whole chunk back
+
+
+def _trial_means(signal, interference, snrs):
+    """Per SNR point, the (count,) mean SE of each trial's K streams: the SE rows
+    of the (K, count) gains added in order of k, then divided by K.  One array a
+    point stays under glibc's least mmap threshold (128 KiB): the heap serves it."""
+    means = [np.zeros(signal.shape[1]) for _ in snrs]
+    se, den = np.empty(signal.shape), np.empty(signal.shape) if np.ndim(interference) else None
+    # A finite rho can still overflow rho * N |g|^2, which gives a non-finite
+    # SE, or only the rho * interference of a stream, whose SE then reads 0.
+    try:
+        with np.errstate(over="raise"):
+            for mean, rho in zip(means, snrs):
+                for stream in se_from_gains(signal, interference, rho.rho_linear, out=(se, den)):
+                    mean += stream
+                mean /= len(se)
+    except FloatingPointError:
+        raise ValueError(f"SE at SNR {10.0 * np.log10(rho.rho_linear):.6g} dB cannot be "
+                         f"computed: rho * n_tx |g|^2 overflows float64") from None
+    return means
 
 
 def run_monte_carlo(cells, trials: int, seed: int, workers: int = 1):
@@ -340,76 +369,57 @@ def run_monte_carlo(cells, trials: int, seed: int, workers: int = 1):
     tuple of one ``MonteCarloEstimate`` per point, in the given order; a
     scheme's estimates are those of a call with that cell and scheme alone.
     Streams of one trial are exchangeable under i.i.d. user statistics, so
-    each estimate averages over trials and streams.
+    each estimate is the mean of the per-trial means of the streams.
 
     Chunk j of the (user count, chunk) list runs in this process when
     j % P == 0, and otherwise in one pool of P - 1 worker processes, all
     submitted up front; P is ``workers`` capped by the chunk count and the
-    CPUs this process may use.  The estimates do not depend on it.  If a
-    chunk raises, the queued chunks are cancelled and the pool is shut down
-    before the error propagates.
+    CPUs this process may use.  Chunks are folded in job order, so the
+    estimates depend on neither P nor the chunk size.  If a chunk raises, the
+    queued chunks are cancelled and the pool is shut down before the error
+    propagates.
     """
     cells = [(n_users, config, *check_cell(config, n_users, schemes, snrs, trials))
              for n_users, config, schemes, snrs in cells]
     groups = {}  # n_users -> indices of its cells
     for i, cell in enumerate(cells):
         groups.setdefault(cell[0], []).append(i)
-    jobs = [(seed, k, s, min(_CHUNK, trials - s), [cells[i][1:3] for i in groups[k]])
+    jobs = [(seed, k, s, min(_CHUNK, trials - s), [cells[i][1:] for i in groups[k]])
             for k in groups for s in range(0, trials, _CHUNK)]
     processes = max(1, min(workers, len(jobs), _cpus()))
     pool = ProcessPoolExecutor(max_workers=processes - 1) if processes > 1 else None
-    estimates, parts = {}, []
+    totals = [[[] for _ in cell[2]] for cell in cells]  # per cell and scheme: _fold's sums
     try:
-        queued = {j: pool.submit(_chunk_job, *job) for j, job in enumerate(jobs) if j % processes}
+        queued = {j: pool.submit(_pooled_job, *job) for j, job in enumerate(jobs) if j % processes}
         for j, job in enumerate(jobs):
-            parts.append(queued.pop(j).result() if j in queued else _chunk_job(*job))
-            _, n_users, start, count, _ = job
-            if start + count == trials:  # the user count's last chunk: reduce its cells
-                # a comprehension: unlike a loop's, its names keep no gains in this frame
-                estimates.update({i: tuple(_estimates(scheme_parts, cells[i][3])
-                                           for scheme_parts in zip(*cell_parts))
-                                  for i, cell_parts in zip(groups[n_users], zip(*parts))})
-                parts = []
+            _fold([total for i in groups[job[1]] for total in totals[i]],
+                  queued.pop(j).result() if j in queued else _chunk_job(*job))
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
-    return [estimates[i] for i in range(len(cells))]
+    return [tuple(_from_sums(*total, trials) for total in cell) for cell in totals]
 
 
-def _estimates(parts, snrs):
-    """One scheme's estimate at each SNR point, from its gain stage result
-    (signal, interference, n_resampled, n_fallback) of each chunk, in trial
-    order.  Each point's SE goes chunk by chunk into one (trials, K) buffer
-    made once, with one chunk-sized scratch buffer for the denominator, so no
-    concatenated copy of the gains is made.  The mean is over trials and
-    streams; the standard error is over trials, the i.i.d. replicates (a
-    trial's streams share its R): the std(ddof=1) of the per-trial means, the
-    K SEs added in order over K, over sqrt(T), computed in the SE buffer."""
-    signals, interferences, resampled, fallback = zip(*parts)
-    n_resampled, n_fallback = sum(resampled), sum(fallback)
-    cuts = np.cumsum([len(signal) for signal in signals])
-    se = np.empty((cuts[-1], signals[0].shape[1]))
-    den = np.empty((max(len(signal) for signal in signals), se.shape[1]))
-    outs = [(part, den[:len(part)]) for part in np.split(se, cuts[:-1])]
-    trial, n = se[:, 0], len(se)  # stream 0's SEs, then the trial means of a point
-    estimates = []
-    for rho in snrs:
-        # A finite rho can still overflow rho * N |g|^2, which gives a non-finite
-        # SE, or only the rho * interference of a stream, whose SE then reads 0.
-        try:
-            with np.errstate(over="raise"):
-                for signal, interference, out in zip(signals, interferences, outs):
-                    se_from_gains(signal, interference, rho.rho_linear, out=out)
-        except FloatingPointError:
-            raise ValueError(f"SE at SNR {10.0 * np.log10(rho.rho_linear):.6g} dB cannot be "
-                             f"computed: rho * n_tx |g|^2 overflows float64") from None
-        mean = se.ravel().mean()
-        for stream in se.T[1:]:
-            trial += stream
-        trial /= se.shape[1]
-        trial -= trial.sum() / n
-        trial *= trial
-        std = np.sqrt(trial.sum() / (n - 1)) if n > 1 else 0.0
-        estimates.append(MonteCarloEstimate(float(mean), float(std / np.sqrt(n)),
-                                            n_resampled, n_fallback))
-    return tuple(estimates)
+def _fold(totals, result):
+    """Adds a ``_chunk_job`` result to the [shift, sums, n_resampled, n_fallback]
+    of each (cell, scheme): per point, trial 0's mean and the sum of d + i d^2,
+    d a trial's mean less that shift.  Each sum is carried into the chunk's first
+    term and run on by ``np.add.accumulate``, one pass in trial order per part."""
+    for total, (means, n_resampled, n_fallback) in zip(totals, result):
+        shift, sums, resampled, fallback = total or (
+            np.array([row[0] for row in means]), np.zeros(len(means), complex), 0, 0)
+        terms = np.empty(len(means[0]), complex)
+        for p, row in enumerate(means):
+            np.subtract(row, shift[p], out=terms.real)
+            np.multiply(terms.real, terms.real, out=terms.imag)
+            terms[0] += sums[p]
+            sums[p] = np.add.accumulate(terms, out=terms)[-1]
+        total[:] = shift, sums, resampled + n_resampled, fallback + n_fallback
+
+
+def _from_sums(shift, sums, n_resampled, n_fallback, trials):
+    """One scheme's estimate at each point from its ``_fold`` sums: the mean of the
+    per-trial means, and their std(ddof=1) over sqrt(trials) as the standard error."""
+    std = np.sqrt(np.maximum(sums.imag - sums.real ** 2 / trials, 0.0) / max(trials - 1, 1))
+    return tuple(MonteCarloEstimate(float(mean), float(error), n_resampled, n_fallback)
+                 for mean, error in zip(shift + sums.real / trials, std / np.sqrt(trials)))

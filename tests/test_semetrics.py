@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -71,8 +72,8 @@ def dense_se(cfg, n_users, scheme, rho, seed, start, count):
 
 
 def kernel_se(cfg, n_users, scheme, rho, seed, start, count, block=None):
-    """The rho-free kernel's (count, K) signal and interference reduced to SE
-    at ``rho``.
+    """The rho-free kernel's (K, count) signal and interference reduced to SE
+    at ``rho``, as a (count, K) block.
 
     The gain stage runs on ``block``, by default the draws of trials
     [start, start + count), one generator call as a run's chunk makes it.
@@ -80,7 +81,7 @@ def kernel_se(cfg, n_users, scheme, rho, seed, start, count, block=None):
     aods, x = block or sample_path_params(child_rng(seed, n_users, start), n_users, count)
     ((signal, interference, resampled, _),) = _gain_chunk(aods, x, cfg, [Scheme(scheme)],
                                                           seed, start)
-    return se_from_gains(signal, interference, rho), resampled
+    return se_from_gains(signal, interference, rho).T, resampled
 
 
 def split(g2):
@@ -457,7 +458,7 @@ def test_singular_trial_flags_only_itself():
     assert (resampled, flagged) == (1, 1)
     assert interference == 0.0
     others = np.arange(64) != 5
-    assert signal[others].tobytes() == clean_signal[others].tobytes()
+    assert signal[:, others].tobytes() == clean_signal[:, others].tobytes()
 
 
 def test_fallback_count_matches_chain_calls():
@@ -509,11 +510,11 @@ def test_flagged_hbs_trial_reports_zero_interference():
         f = hbs_beamformer_set(h, aods[t], cfg)
         # each h_k . f_k summed in order of the antennas
         chain = np.abs([sum(h[k, n] * f[n, k] for n in range(cfg.n_tx)) for k in range(5)]) ** 2
-        assert signal[t].tobytes() == chain.tobytes()
+        assert signal[:, t].tobytes() == chain.tobytes()
         # relative to N x_k = |h_k|^2 |f_k|^2, the scale of both products'
         # rounding: a flagged signal N x_k / (R^-1)_kk is far below it
         dense = np.diagonal(np.abs(h @ f) ** 2)
-        assert (np.abs(signal[t] - dense) <= 1e-14 * cfg.n_tx * x[t]).all()
+        assert (np.abs(signal[:, t] - dense) <= 1e-14 * cfg.n_tx * x[t]).all()
 
 
 def traced_peak(call):
@@ -527,43 +528,42 @@ def traced_peak(call):
 
 
 def test_run_holds_each_gain_once():
-    # A run's traced memory grows per trial and stream by the HBS signal (8
-    # bytes) and the SE buffer (8): a chunk's draws (16) are dropped once its
-    # gains are computed, HBS carries no zero interference array, and the
-    # chunks' gains are reduced without a concatenated copy.  The peak at one
-    # chunk takes out the fixed part.
+    # A chunk's draws, gains and per-trial means are dropped once it is folded
+    # into the running sums, so a run's traced peak does not grow with its
+    # trial count: 16 chunks of 32x5 HBS peak less than 1 byte per trial and
+    # stream above one chunk (the signal and an SE buffer held per trial took
+    # 16 bytes).
     cfg = ArrayConfig(32, 0.5)
 
     def run_peak(trials):
         return traced_peak(lambda: run_cell(cfg, 5, [Scheme.HBS], [1000.0], trials, 2026))
 
     one, many = run_peak(semetrics._CHUNK), run_peak(16 * semetrics._CHUNK)
-    assert (many - one) / (15 * semetrics._CHUNK * 5) < 20
+    assert (many - one) / (16 * semetrics._CHUNK * 5) < 1
 
 
 def test_user_count_gains_dropped_once_reduced(monkeypatch):
-    # Once a user count's cells are reduced, nothing in the run still refers
-    # to their gains: both K = 2 chunks' signals are gone before the first of
-    # K = 5's chunks is drawn, so a later user count never runs beside them.
+    # No gains outlive their chunk: every chunk's signals are gone before the
+    # next chunk is drawn, of its own user count or of the next, and once the
+    # run returns.
     cfg = ArrayConfig(8, 0.5)
-    signals, alive = [], []  # weak references to K = 2's signals; live ones per K = 5 draw
+    signals, alive = [], []  # weak references to every signal; live ones per draw
 
     def gain_chunk(aods, x, config, schemes, seed, start, run=semetrics._gain_chunk):
         out = run(aods, x, config, schemes, seed, start)
-        if aods.shape[1] == 2:
-            signals.extend(weakref.ref(signal) for signal, *_ in out)
+        signals.extend(weakref.ref(signal) for signal, *_ in out)
         return out
 
     def draw(seed, n_users, start, count, draw=semetrics._draw_chunk):
-        if n_users == 5:
-            alive.append(sum(ref() is not None for ref in signals))
+        alive.append(sum(ref() is not None for ref in signals))
         return draw(seed, n_users, start, count)
 
     monkeypatch.setattr(semetrics, "_gain_chunk", gain_chunk)
     monkeypatch.setattr(semetrics, "_draw_chunk", draw)
     cells = [(2, cfg, (Scheme.ABS,), [1.0]), (5, cfg, (Scheme.ABS,), [1.0])]
     run_monte_carlo(cells, 2 * semetrics._CHUNK, 3)
-    assert len(signals) == 2 and alive == [0, 0]
+    assert len(signals) == 4 and alive == [0, 0, 0, 0]
+    assert not any(ref() for ref in signals)
 
 
 def test_philox_works_in_fixed_buffers():
@@ -577,11 +577,16 @@ def test_philox_works_in_fixed_buffers():
 def test_gain_chunk_works_in_fixed_buffers():
     # ABS and HBS on one 128x5 chunk: R (40 bytes per trial and stream) is
     # built before the power, summed for ABS through one row buffer and then
-    # inverted in place for HBS; no squared or copied R is made.
+    # inverted in place for HBS; no squared or copied R is made.  The gains are
+    # trials last, as R is, so neither the ABS product nor the HBS division
+    # mixes memory layouts and needs an iterator buffer: ABS alone peaks in
+    # ``_gram`` (56 bytes), and ABS with HBS at the R, power, ABS interference
+    # and HBS signal it holds (64) beside a flagged trial's chain.
     cfg = ArrayConfig(128, 0.5)
     aods, x = _draw_chunk(2026, 5, 0, semetrics._CHUNK)
-    peak = traced_peak(lambda: _gain_chunk(aods, x, cfg, [Scheme.ABS, Scheme.HBS], 2026, 0))
-    assert peak / (semetrics._CHUNK * 5) < 100
+    for schemes, bound in (([Scheme.ABS], 60), ([Scheme.ABS, Scheme.HBS], 80)):
+        peak = traced_peak(lambda: _gain_chunk(aods, x, cfg, schemes, 2026, 0))
+        assert peak / (semetrics._CHUNK * 5) < bound
 
 
 def test_gram_builds_r_in_place():
@@ -602,16 +607,19 @@ def test_gram_inverse_eliminates_through_row_buffers():
     assert traced_peak(lambda: _gram_inverse(gram)) / (semetrics._CHUNK * 5) < 4
 
 
-def test_estimates_hold_one_se_buffer():
-    # The reduction's traced peak grows per trial and stream by its one SE
-    # buffer (8 bytes), whose first column then takes the per-trial means;
-    # the denominator's scratch buffer is one chunk long.
-    rng = np.random.default_rng(5)
-    part = (rng.random((semetrics._CHUNK, 5)), rng.random((semetrics._CHUNK, 5)), 0, 0)
-    snrs = [SnrPoint(1.0), SnrPoint(1000.0)]
-    one = traced_peak(lambda: semetrics._estimates([part], snrs))
-    many = traced_peak(lambda: semetrics._estimates([part] * 16, snrs))
-    assert (many - one) / (15 * semetrics._CHUNK * 5) < 12
+def test_reduction_holds_no_trial_buffer():
+    # Each chunk is reduced where it is simulated, to a row of per-trial means
+    # per point, and folded into running sums of one entry per point: every scheme
+    # of a 32x5 cell at nine points over 16 chunks peaks less than 1 byte per
+    # trial and stream above one chunk (the (trials, K) SE buffer took 8).
+    cfg = ArrayConfig(32, 0.5)
+    snrs = [SnrPoint.from_db(db) for db in range(-10, 35, 5)]
+
+    def run_peak(trials):
+        return traced_peak(lambda: run_cell(cfg, 5, list(Scheme), snrs, trials, 2026))
+
+    one, many = run_peak(semetrics._CHUNK), run_peak(16 * semetrics._CHUNK)
+    assert (many - one) / (16 * semetrics._CHUNK * 5) < 1
 
 
 def test_scheme_order_does_not_change_estimates():
@@ -630,6 +638,22 @@ def test_chunk_size_invariance(monkeypatch):
     default = run_cell(cfg, 5, [Scheme.HBS], [316.0], 2048, 2026)
     monkeypatch.setattr(semetrics, "_CHUNK", 333)
     assert run_cell(cfg, 5, [Scheme.HBS], [316.0], 2048, 2026) == default
+
+
+def test_estimates_equal_for_any_chunking_and_worker_count(monkeypatch):
+    # The running sums are one sequential pass over the trials, so neither a
+    # chunk boundary nor the process that simulated a chunk shows in them:
+    # every scheme of 32x5 and 32x9 at three points over 5000 trials (flagged
+    # HBS trials included) is equal at chunks of 2048, 333 and 4999 (whose
+    # last chunk is one trial), on one process and on two.
+    snrs = [SnrPoint.from_db(db) for db in (-10.0, 10.0, 30.0)]
+    cells = [(n_users, ArrayConfig(32, 0.5), list(Scheme), snrs) for n_users in (5, 9)]
+    default = run_monte_carlo(cells, 5000, 2026)
+    assert default[0][1][0].n_fallback > 0
+    for chunk in (2048, 333, 4999):
+        monkeypatch.setattr(semetrics, "_CHUNK", chunk)
+        for workers in (1, 2):
+            assert run_monte_carlo(cells, 5000, 2026, workers) == default
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -751,17 +775,39 @@ def test_stderr_shrinks_with_trials():
     assert 0.8 * (1 / np.sqrt(2)) < ratio < 1.2 * (1 / np.sqrt(2))
 
 
+def test_trial_means_add_streams_in_order():
+    # A trial's K SEs are added in order of k whatever the chunk's length: a
+    # one-trial chunk of 9 streams, which a contiguous numpy sum would add
+    # pairwise, gives the bytes of a plain loop, as a longer chunk does.
+    rng = np.random.default_rng(9)
+    for count in (1, 3):
+        signal, interference = rng.random((9, count)), rng.random((9, count))
+        snrs = [SnrPoint(1.0), SnrPoint(1000.0)]
+        se = [se_from_gains(signal, interference, rho.rho_linear) for rho in snrs]
+        expected = [[sum(point[:, t]) / 9 for t in range(count)] for point in se]
+        means = semetrics._trial_means(signal, interference, snrs)
+        assert [row.tolist() for row in means] == expected
+
+
 def test_estimate_fields():
     ((est,),) = run_cell(ArrayConfig(4), 2, [Scheme.ABS], [10.0], 300, 1)
     assert isinstance(est, MonteCarloEstimate)
     assert est.n_resampled == 0
     assert est.std_error > 0
-    # the in-place reduction makes the float operations of numpy's mean and
-    # std: the mean over trials and streams, the standard error over trials,
-    # from the per-trial means of the streams, whose R the streams share
+    # the running sums make the float operations of one loop over the
+    # per-trial means of the streams, in trial order: the sums of d and d^2,
+    # d a trial's mean less trial 0's; the mean is that of the per-trial
+    # means, and the standard error is over trials, whose streams share R
     se, _ = kernel_se(ArrayConfig(4), 2, Scheme.ABS, 10.0, 1, 0, 300)
-    assert est.mean == se.mean()
-    assert est.std_error == se.mean(axis=1).std(ddof=1) / np.sqrt(len(se))
+    means = [sum(row) / len(row) for row in se]
+    sums = squares = 0.0
+    for mean in means:
+        d = mean - means[0]
+        sums += d
+        squares += d * d
+    assert est.mean == means[0] + sums / len(means)
+    std = math.sqrt((squares - sums * sums / len(means)) / (len(means) - 1))
+    assert est.std_error == std / math.sqrt(len(means))
 
 
 AVX512_TARGETS = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
