@@ -60,22 +60,18 @@ def bessel_j0(x):
     x_arr = np.abs(np.asarray(x, dtype=float))
     out = np.empty_like(x_arr)
     small = x_arr < _SERIES_CUTOFF
-    if small.any():
-        out[small] = _j0_series(x_arr[small])
-    if (~small).any():
-        out[~small] = _j0_asymptotic(x_arr[~small])
+    out[small] = _j0_series(x_arr[small])
+    out[~small] = _j0_asymptotic(x_arr[~small])
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
 def _interference_sum(n_tx: int, spacing: float) -> float:
-    """S = 1 + 2 sum_{i=1}^{n_tx-1} (1 - i/n_tx) J0(2*pi*d*i)^2.
-
-    Accumulated smallest-terms-first (descending i) via exact summation.
-    """
+    """S = 1 + 2 sum_{i=1}^{n_tx-1} (1 - i/n_tx) J0(2*pi*d*i)^2, the terms
+    summed exactly (``math.fsum``, correctly rounded in any order)."""
     config = ArrayConfig(n_tx, spacing)  # the array checks the simulation applies
-    idx = np.arange(config.n_tx - 1, 0, -1)
+    idx = np.arange(1, config.n_tx)
     terms = 2.0 * (1.0 - idx / config.n_tx) * bessel_j0(2.0 * np.pi * config.spacing * idx) ** 2
-    return math.fsum(list(np.atleast_1d(terms)) + [1.0])
+    return math.fsum([1.0, *terms])
 
 
 def cross_correlation_expectation(n_tx: int, spacing: float) -> float:

@@ -66,9 +66,9 @@ def _distinct(values, spec: str):
     return tuple(values)
 
 
-def parse_int_list(spec: str, parse=int):
+def parse_int_list(spec: str):
     try:
-        return _distinct([parse(x) for x in spec.split(",")], spec)
+        return _distinct([positive_int(x) for x in spec.split(",")], spec)
     except ValueError:
         raise UsageError(f"bad integer list {spec!r}")
 
@@ -85,15 +85,11 @@ def parse_schemes(spec: str):
 
 
 def positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1 (beams, trials, workers)."""
+    """argparse type for counts that must be at least 1 (antennas, beams, trials, workers)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
-
-
-def parse_positive_int_list(spec: str):
-    return parse_int_list(spec, positive_int)
 
 
 # Keys a sweep config file may set, one per sweep flag.
@@ -136,7 +132,7 @@ ARGUMENTS = {
                           "a value starting with '-' needs the '=' form: --snr-db=-10:5:30"),
     "--ntx": dict(type=parse_int_list, default=(32,),
                   help="comma list of transmit antenna counts (default 32)"),
-    "--nbeams": dict(type=parse_positive_int_list, default=(2,),
+    "--nbeams": dict(type=parse_int_list, default=(2,),
                      help="comma list of beam counts (= users = RF chains, default 2)"),
     "--spacing": dict(type=float, default=0.5,
                       help="element spacing in wavelengths (default 0.5)"),

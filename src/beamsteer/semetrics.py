@@ -238,25 +238,22 @@ def _gain_chunk(aods, x, config, schemes, seed, start):
     (aods, x): per scheme, their (K, count) signal, their interference,
     (K, count) for ABS and the scalar 0.0 for HBS and NoInterference, the
     number of resampled draws and the number of extended-precision trials.
-    The Gram kernel R is computed once for the schemes that read it; HBS
-    inverts it in place, so it runs after ABS, whatever the order given."""
+    The Gram kernel R is computed once: ABS reads it as soon as it is built,
+    and HBS, its last reader, inverts it in place.  The order given orders
+    the output alone."""
     gram = _gram(aods, config) if {Scheme.ABS, Scheme.HBS} & set(schemes) else None
     power = np.ascontiguousarray(x.T)
     power *= config.n_tx
-    out = {}
-    for scheme in sorted(schemes, key=lambda s: s is Scheme.HBS):
-        if scheme is Scheme.ABS:
-            out[scheme] = (power, _abs_interference(gram, power), 0, 0)
-        elif scheme is Scheme.HBS:
-            out[scheme] = _hbs_chunk(aods, x, config, gram, power, seed, start)
-        else:
-            out[scheme] = (power, 0.0, 0, 0)
-    return [out[scheme] for scheme in schemes]
+    leakage = _abs_interference(gram, power) if Scheme.ABS in schemes else None
+    return [_hbs_chunk(aods, x, config, gram, power, seed, start) if scheme is Scheme.HBS
+            else (power, leakage, 0, 0) if scheme is Scheme.ABS
+            else (power, 0.0, 0, 0) for scheme in schemes]
 
 
 def _hbs_chunk(aods, x, config, gram, power, seed, start):
-    """``_gain_chunk``'s HBS entry; it inverts the chunk's Gram kernels in place.
-    A flagged trial's signal is the chain's K inner products |h_k . f_k|^2."""
+    """``_gain_chunk``'s HBS entry; it inverts the chunk's Gram kernels in
+    place, after ABS has read them, and nothing reads them after it.  A
+    flagged trial's signal is the chain's K inner products |h_k . f_k|^2."""
     n_users = aods.shape[1]
     norm = _frobenius(gram)
     inv = _gram_inverse(gram)

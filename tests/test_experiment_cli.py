@@ -345,20 +345,22 @@ def test_nbeams_list(tmp_path, capsys):
         ["16", "3"], ["16", "3"], ["32", "3"], ["32", "3"],
         ["16", "2"], ["16", "2"], ["32", "2"], ["32", "2"]]
     out.unlink()
-    # every entry is a distinct count of at least 1, on the command line and in a file
-    config = tmp_path / "nbeams.cfg"
-    for spec in ("2,2", "0", "-3", "abc", "2,0"):
-        for command in (["bounds"], ["sweep", "--trials", "10"]):
-            assert main(command + ["--nbeams", spec, "--out", str(out)]) == 1
-            assert "--nbeams" in capsys.readouterr().err
-        config.write_text(f"nbeams = {spec}\n")
-        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
-        assert "--nbeams" in capsys.readouterr().err
-    assert not out.exists()
-    config.write_text("nbeams = 0\n")
-    assert main(["sweep", "--config", str(config)]) == 1
-    assert capsys.readouterr().err == (
-        "error: argument --nbeams: must be a positive integer, got '0'\n")
+    # every entry of --nbeams and of --ntx is a distinct count of at least 1,
+    # on the command line and in a file, and the error names the flag
+    config = tmp_path / "counts.cfg"
+    for flag in ("--nbeams", "--ntx"):
+        for spec in ("2,2", "0", "-3", "abc", "2,0"):
+            for command in (["bounds"], ["sweep", "--trials", "10"]):
+                assert main(command + [flag, spec, "--out", str(out)]) == 1
+                assert flag in capsys.readouterr().err
+            config.write_text(f"{flag[2:]} = {spec}\n")
+            assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+            assert flag in capsys.readouterr().err
+        assert not out.exists()
+        config.write_text(f"{flag[2:]} = 0\n")
+        assert main(["sweep", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: argument {flag}: must be a positive integer, got '0'\n")
 
 
 def test_validation_report_formatting():

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from itertools import permutations
 from pathlib import Path
 from unittest import mock
 
@@ -624,13 +625,14 @@ def test_reduction_holds_no_trial_buffer():
 
 def test_scheme_order_does_not_change_estimates():
     # HBS overwrites the chunk's R with its inverse, so ABS must read R first
-    # in either order; 32x5 at seed 2026 includes flagged trials.
+    # in every order: in all six orders of the three schemes, each scheme's
+    # estimates are the same.  32x5 at seed 2026 includes flagged trials.
     cfg = ArrayConfig(32, 0.5)
     snrs = [1.0, 316.0]
-    hbs_abs = run_cell(cfg, 5, [Scheme.HBS, Scheme.ABS], snrs, 8192, 2026)
-    abs_hbs = run_cell(cfg, 5, [Scheme.ABS, Scheme.HBS], snrs, 8192, 2026)
-    assert hbs_abs[0][0].n_fallback > 0
-    assert hbs_abs == abs_hbs[::-1]
+    by_order = [dict(zip(order, run_cell(cfg, 5, order, snrs, 8192, 2026)))
+                for order in permutations(Scheme)]
+    assert len(by_order) == 6 and by_order[0][Scheme.HBS][0].n_fallback > 0
+    assert all(estimates == by_order[0] for estimates in by_order[1:])
 
 
 def test_chunk_size_invariance(monkeypatch):
